@@ -10,7 +10,9 @@ Tables are assembled from three row classes:
 
 - core rows: the authored protocol table (publicness is judged on these);
 - guard rows: explicit rejections filling every (live state, comm symbol)
-  hole, so unexpected comm contents halt immediately;
+  hole, so unexpected comm contents halt immediately; each live state
+  with a hole gets one guard rejecting state, and (q, g) -> (rej~q, g)
+  keeps the comm symbol so the guard targets stay distinct;
 - completion rows: a generic unitary completion on the remaining columns
   (halting-state sources), which the dynamics never reach because halting
   amplitude is measured out before the next step.
@@ -53,6 +55,9 @@ class VerifierSpec:
     rows: {symbol: {(state, comm): ((amp, state', comm'), ...)}}
     head_dir: {(state', comm'): direction}
     row_class: {symbol: {(state, comm): "core"|"guard"|"completion"}}
+    analyses: input-independent results computed once per verifier by
+    the engine (announcement map, schedule adequacy); the tables are
+    never mutated after construction, so they stay valid.
     """
 
     def __init__(self, name, input_alphabet, comm_alphabet, non_halting,
@@ -74,6 +79,7 @@ class VerifierSpec:
             sym: dict(table) for sym, table in (row_class or {}).items()
         }
         self.metadata = dict(metadata or {})
+        self.analyses = {}
         self._validate_structure()
 
     # -- structure -----------------------------------------------------
@@ -221,11 +227,14 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
 
     head_dir may mix per-state entries (state -> direction) with
     per-target entries ((state, comm) -> direction); the latter win.
-    Guard rows are added for every uncovered (live state, comm) pair and
-    target fresh rejecting states; the remaining columns get a generic
-    unitary completion (identity-preferring, then orthonormal complements
-    of partially used target blocks).  Per-symbol unitarity is verified
-    before returning.
+    Guard rows are added for every uncovered (live state, comm) pair:
+    (q, g) -> (rej~q, g), one fresh rejecting state per live state with
+    a hole (primed on a name clash).  Guard targets of one state differ
+    in g and those of different states differ in state, so each
+    per-symbol table stays injective on them.  The remaining columns get
+    a generic unitary completion (identity-preferring, then orthonormal
+    complements of partially used target blocks).  Per-symbol unitarity
+    is verified before returning.
     """
     comm_alphabet = tuple(comm_alphabet)
     non_halting = tuple(non_halting)
@@ -255,20 +264,21 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
             for _, q2, g2 in norm:
                 dir_for(q2, g2)
 
-    # guard rows: one fresh rejecting state per uncovered (state, comm) pair
+    # guard rows: one fresh rejecting state per live state with a hole
     guard_dir = 0 if two_way else 1
-    guard_states = {}
+    guard_states = []
     for q in non_halting:
-        for g in comm_alphabet:
-            if all((q, g) in rows[sym] for sym in padded):
-                continue
-            base = "rej~%s~%s" % (q, g)
-            fresh = base
-            while fresh in state_set:
-                fresh += "'"
-            state_set.add(fresh)
-            rejecting.append(fresh)
-            guard_states[(q, g)] = fresh
+        holes = [g for g in comm_alphabet
+                 if not all((q, g) in rows[sym] for sym in padded)]
+        if not holes:
+            continue
+        fresh = "rej~%s" % (q,)
+        while fresh in state_set:
+            fresh += "'"
+        state_set.add(fresh)
+        rejecting.append(fresh)
+        guard_states.append(fresh)
+        for g in holes:
             resolved_dir[(fresh, g)] = guard_dir
             for sym in padded:
                 if (q, g) not in rows[sym]:

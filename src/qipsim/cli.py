@@ -435,13 +435,11 @@ def _sweep_one(bundle, x, family, cfg, tau):
 
 
 def cmd_sweep(args):
-    loaded = resolve_spec(args.spec)
-    probe = instantiate(loaded, args.N)
-    inputs = _sweep_inputs(args, probe)
+    bundle = instantiate(resolve_spec(args.spec), args.N)
+    inputs = _sweep_inputs(args, bundle)
     cfg = engine_config(args, count_interactions=True)
 
     def work(x):
-        bundle = instantiate(loaded, args.N)
         return _sweep_one(bundle, x, args.family, cfg, args.tau)
 
     if args.jobs > 1:
@@ -577,8 +575,6 @@ def build_parser():
                         help="two-way step budget override")
     common.add_argument("--tape-trunc", type=int, default=None,
                         help="history-tape record cap")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; the engine is deterministic")
     common.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format")
     common.add_argument("--out", default=None,

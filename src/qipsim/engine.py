@@ -147,9 +147,7 @@ def run_protocol(verifier, x, prover=None, cfg=None):
                 survivors.add(key, a)
                 if key[2] != BLANK:
                     query_mass += w
-        before = survivors.norm_sq()
-        survivors.prune()
-        pruned_mass += max(before - survivors.norm_sq(), 0.0)
+        pruned_mass += survivors.prune()
         live = survivors
         if counts is not None:
             counts = {
@@ -190,7 +188,7 @@ def run_protocol(verifier, x, prover=None, cfg=None):
                 nxt.add(key, a * pamp)
                 if nxt_counts is not None:
                     nxt_counts[key] = max(nxt_counts.get(key, -1), base)
-        nxt.prune()
+        pruned_mass += nxt.prune()
         live = nxt
         if counts is not None:
             counts = nxt_counts
@@ -313,6 +311,26 @@ class ScheduleSweep:
     runs: int = 0
 
 
+def _once(verifier, key, compute):
+    """compute(verifier), run once per verifier and kept on it.
+
+    Both outcomes are kept: the value, or the FamilyInadequacyError,
+    which is raised afresh on every later call.  Concurrent first calls
+    may each compute; they store the same outcome.
+    """
+    outcome = verifier.analyses.get(key)
+    if outcome is None:
+        try:
+            outcome = (compute(verifier), None)
+        except FamilyInadequacyError as exc:
+            outcome = (None, str(exc))
+        verifier.analyses[key] = outcome
+    value, error = outcome
+    if error is not None:
+        raise FamilyInadequacyError(error)
+    return value
+
+
 def _require_schedule_adequacy(verifier):
     for sym, table in verifier.rows.items():
         for (q, g), targets in table.items():
@@ -337,8 +355,13 @@ def announcement_map(verifier):
     the announcement or sends that component into a guard.
 
     Returns the dict {state: symbol}.  Raises FamilyInadequacyError when
-    the premise fails, naming the offending state or component.
+    the premise fails, naming the offending state or component.  The
+    analysis runs once per verifier; later calls reuse its outcome.
     """
+    return dict(_once(verifier, "announcement_map", _announcement_map))
+
+
+def _announcement_map(verifier):
     sources = {}
     for sym, table in verifier.rows.items():
         for (q, g), targets in table.items():
@@ -391,10 +414,20 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
     an exact optimum over all message schedules; the transparent prover
     (no history records at all) is run as well and the larger value is
     reported.  Non-announced two-way verifiers raise
-    FamilyInadequacyError.
+    FamilyInadequacyError.  The DP/enumeration methods and committed_only
+    are one-way options; passing them for a two-way verifier raises
+    EngineError.
     """
     cfg = cfg or EngineConfig()
+    if method not in ("auto", "dp", "enumeration"):
+        raise EngineError("unknown sweep method %r" % (method,))
     if verifier.two_way:
+        if method != "auto" or committed_only:
+            raise EngineError(
+                "two-way verifiers are certified by announced dominance "
+                "only; method=%r committed_only=%r do not apply"
+                % (method, committed_only)
+            )
         announcement_map(verifier)
         best = -1.0
         best_id = None
@@ -411,9 +444,7 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
             input=x, best_p=float(best), schedule={}, exact=residual <= cfg.tau,
             method="announced-dominance:%s" % best_id, runs=2,
         )
-    _require_schedule_adequacy(verifier)
-    if method not in ("auto", "dp", "enumeration"):
-        raise EngineError("unknown sweep method %r" % (method,))
+    _once(verifier, "schedule_adequacy", _require_schedule_adequacy)
     if method in ("auto", "dp"):
         return _schedule_dp(verifier, x, committed_only)
     return _schedule_enumeration(verifier, x, cfg, committed_only,

@@ -81,13 +81,19 @@ class SparseVector:
         return self
 
     def prune(self):
-        """Drop components with magnitude at or below the threshold."""
+        """Drop components with magnitude at or below the threshold.
+
+        Returns the squared norm of the dropped components.
+        """
         t = self.prune_threshold
-        if t > 0.0:
+        if t <= 0.0:
+            return 0.0
+        dropped = [v for v in self.amplitudes.values() if abs(v) <= t]
+        if dropped:
             self.amplitudes = {
                 k: v for k, v in self.amplitudes.items() if abs(v) > t
             }
-        return self
+        return float(sum((v * v.conjugate()).real for v in dropped))
 
     def norm_sq(self):
         return float(sum((v * v.conjugate()).real for v in self.amplitudes.values()))

@@ -1,6 +1,11 @@
 """Unit tests for verifier tables and the classical automaton runners."""
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qipsim.automata import (
     BLANK,
@@ -151,6 +156,96 @@ def test_validate_public_detects_silent_rows():
     report = validate_public(v)
     assert not report.ok
     assert report.violations
+
+
+def _guard_targets(verifier):
+    """{live state: {guard target states}} over every guard row."""
+    out = {}
+    for sym, table in verifier.rows.items():
+        for (q, g), targets in table.items():
+            if verifier.class_of(sym, q, g) == GUARD:
+                assert len(targets) == 1
+                amp, q2, g2 = targets[0]
+                assert (amp, g2) == (1.0, g)
+                out.setdefault(q, set()).add(q2)
+    return out
+
+
+def test_guard_rows_share_one_rejecting_state_per_live_state():
+    rows = {
+        sym: {("q0", BLANK): ((1.0, "q0", BLANK),)}
+        for sym in (LEFT_END, "0", "1")
+    }
+    rows[RIGHT_END] = {("q0", BLANK): ((1.0, "acc", BLANK),)}
+    v = complete_verifier(
+        name="guarded", input_alphabet=("0", "1"),
+        comm_alphabet=(BLANK, "a", "b"), non_halting=("q0", "q1"),
+        accepting=("acc",), rejecting=("rej~q0",), initial="q0",
+        two_way=False, core_rows=rows, head_dir={},
+    )
+    # the declared "rej~q0" forces a primed name for q0's guard state
+    assert _guard_targets(v) == {"q0": {"rej~q0'"}, "q1": {"rej~q1"}}
+    assert v.rejecting == ("rej~q0", "rej~q0'", "rej~q1")
+    assert v.metadata["guard_states"] == 2
+    for g in ("a", "b"):
+        assert v.row("0", "q0", g) == ((1.0, "rej~q0'", g),)
+
+
+_SYMBOLS = (LEFT_END, "0", "1", RIGHT_END)
+
+
+@st.composite
+def core_tables(draw):
+    """Random authored tables whose rows are orthonormal partial columns.
+
+    Each row sends one live (state, comm) source to one or two fresh
+    targets with equal amplitudes, so completion always exists.
+    """
+    two_way = draw(st.booleans())
+    live = tuple("q%d" % i for i in range(draw(st.integers(1, 3))))
+    rejecting = ("rej",) + (("rej~q0",) if draw(st.booleans()) else ())
+    states = live + ("acc",) + rejecting
+    comm = (BLANK,) + ("a", "b")[:draw(st.integers(0, 2))]
+    sources = [(q, g) for q in live for g in comm]
+    rows = {}
+    for sym in _SYMBOLS:
+        picked = draw(st.lists(st.sampled_from(sources), unique=True))
+        free = draw(st.permutations([(q, g) for q in states for g in comm]))
+        table = {}
+        for key in picked:
+            width = min(draw(st.integers(1, 2)), len(free))
+            if width == 0:
+                break
+            amp = draw(st.sampled_from((1.0, -1.0, 1j))) / math.sqrt(width)
+            table[key] = tuple((amp, q2, g2) for q2, g2 in free[:width])
+            free = free[width:]
+        rows[sym] = table
+    if two_way:
+        head_dir = {q: draw(st.sampled_from((-1, 0, 1))) for q in states}
+    else:
+        head_dir = {}
+    return dict(
+        name="random", input_alphabet=("0", "1"), comm_alphabet=comm,
+        non_halting=live, accepting=("acc",), rejecting=rejecting,
+        initial="q0", two_way=two_way, core_rows=rows, head_dir=head_dir,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(core_tables())
+def test_completion_property_on_random_core_tables(kwargs):
+    v = complete_verifier(**kwargs)
+    guards = _guard_targets(v)
+    guard_states = set().union(*guards.values()) if guards else set()
+    for q, targets in guards.items():
+        assert len(targets) == 1
+        assert all(v.is_rejecting(q2) for q2 in targets)
+    assert len(guard_states) == len(guards) <= len(v.non_halting)
+    assert guard_states.isdisjoint(kwargs["rejecting"])
+    assert v.metadata["guard_states"] == len(guard_states)
+    inputs = ["".join(w) for n in range(3)
+              for w in itertools.product("01", repeat=n)]
+    assert validate_wellformed(v, inputs=inputs).ok
 
 
 def parity_machine():

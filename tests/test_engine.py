@@ -1,7 +1,12 @@
 """Unit tests for the interactive-protocol simulation engine."""
 
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from qipsim import engine
 from qipsim.automata import BLANK
 from qipsim.engine import (
     EngineConfig,
@@ -15,7 +20,7 @@ from qipsim.engine import (
     sweep_family,
 )
 from qipsim.errors import EngineError, FamilyInadequacyError
-from qipsim.provers import IdentityProver, MessageSchedule
+from qipsim.provers import ExplicitRoundProver, IdentityProver, MessageSchedule
 from qipsim.zoo import make_bundle
 
 
@@ -66,6 +71,19 @@ def test_conservation_check_passes_at_zero_prune(zero, blocks):
     cfg = EngineConfig(check_conservation=True, prune=0.0)
     run_protocol(zero.verifier, "0110", zero.honest_prover("0110"), cfg)
     run_protocol(blocks.verifier, "0011", blocks.honest_prover("0011"), cfg)
+
+
+def test_conservation_counts_mass_pruned_after_the_prover_round(odd):
+    # a small rotation of the comm cell in round 1 leaves a component
+    # below the prune threshold; its mass must land in the pruned share
+    s = 1e-4
+    c = math.sqrt(1.0 - s * s)
+    prover = ExplicitRoundProver({1: ([(BLANK, ()), ("a", ())],
+                                      [[c, -s], [s, c]])})
+    cfg = EngineConfig(check_conservation=True, prune=1e-3)
+    r = run_protocol(odd.verifier, "10", prover, cfg)
+    assert r.p_acc + r.p_rej + r.residual == pytest.approx(1.0 - s * s,
+                                                           abs=1e-12)
 
 
 def test_step_records_trace_the_run(zero):
@@ -158,6 +176,60 @@ def test_two_way_schedule_sweep_uses_announcements(blocks):
     assert member.method.startswith("announced-dominance")
     negative = best_schedule_acceptance(blocks.verifier, "001")
     assert negative.best_p == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"method": "dp"}, {"method": "enumeration"}, {"committed_only": True},
+])
+def test_two_way_schedule_sweep_refuses_one_way_options(blocks, kwargs):
+    with pytest.raises(EngineError):
+        best_schedule_acceptance(blocks.verifier, "01", **kwargs)
+
+
+@pytest.mark.parametrize("bundle_name", ["zero", "equal_blocks"])
+def test_schedule_sweep_rejects_unknown_method(bundle_name):
+    verifier = make_bundle(bundle_name).verifier
+    with pytest.raises(EngineError, match="unknown sweep method"):
+        best_schedule_acceptance(verifier, "01", method="bogus")
+
+
+def test_announcement_analysis_runs_once_per_verifier(monkeypatch):
+    calls = []
+    body = engine._announcement_map
+
+    def counted(verifier):
+        calls.append(verifier.name)
+        return body(verifier)
+
+    monkeypatch.setattr(engine, "_announcement_map", counted)
+    blocks = make_bundle("equal_blocks", {"branches": 2})
+    for x in ("", "01", "0011", "001"):
+        best_schedule_acceptance(blocks.verifier, x)
+    center = make_bundle("center", {"branches": 2})
+    for x in ("1", "100"):
+        with pytest.raises(FamilyInadequacyError, match="comm symbols"):
+            best_schedule_acceptance(center.verifier, x)
+    assert calls == ["equal_blocks", "center"]
+    # callers get their own copy of the cached map
+    announcement_map(blocks.verifier).clear()
+    assert announcement_map(blocks.verifier)
+
+
+def test_concurrent_first_analyses_agree():
+    # --jobs threads may fill a fresh verifier's cache at the same time
+    blocks = make_bundle("equal_blocks", {"branches": 2})
+    expected = engine._announcement_map(blocks.verifier)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            maps = list(pool.map(
+                lambda _: announcement_map(blocks.verifier), range(16),
+                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert maps == [expected] * 16
+    assert blocks.verifier.analyses["announcement_map"] == (expected, None)
 
 
 def test_center_is_not_announced():

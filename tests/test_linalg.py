@@ -92,8 +92,9 @@ def test_sparse_vector_norms_and_scaling():
 
 def test_sparse_vector_prune_threshold():
     v = SparseVector({"a": 1e-13, "b": 0.9}, prune_threshold=1e-12)
-    v.prune()
+    assert v.prune() == pytest.approx(1e-26, rel=1e-12)
     assert "a" not in v
+    assert v.prune() == 0.0
     assert "b" in v
 
 

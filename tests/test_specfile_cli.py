@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qipsim import cli, engine
 from qipsim.cli import main, resolve_spec
 from qipsim.engine import run_protocol
 from qipsim.errors import ParseError, ValidationError
@@ -220,6 +221,36 @@ def test_cli_sweep_jobs_are_deterministic(capsys):
     assert main(argv + ["--jobs", "4"]) == 0
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv,rows,announced", [
+    # two-way and announced: the analysis succeeds once
+    (["sweep", "equal_blocks", "--N", "2", "--max-len", "3"], 15, 1),
+    # two-way, not announced: it fails once, then the bundle family runs
+    (["sweep", "center", "--N", "2", "--inputs", "1,100,010"], 3, 1),
+    # one-way: the schedule DP never needs the announcement map
+    (["sweep", "odd", "--max-len", "3", "--jobs", "2"], 15, 0),
+])
+def test_cli_sweep_builds_and_analyses_once_per_command(
+        argv, rows, announced, monkeypatch, capsys):
+    builds = _count_calls(monkeypatch, cli, "instantiate")
+    analyses = _count_calls(monkeypatch, engine, "_announcement_map")
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows
+    assert len(builds) == 1
+    assert len(analyses) == announced
 
 
 def test_cli_sweep_quotes_schedule_ids_in_csv(capsys):
