@@ -49,15 +49,34 @@ GUARD = "guard"
 COMPLETION = "completion"
 
 
+class MoveTable(dict):
+    """One padded symbol's moves: {(state, comm): ((amp, state', comm',
+    direction), ...)}.  Looking up a missing row raises ValidationError.
+    """
+
+    def __init__(self, symbol, moves):
+        super().__init__(moves)
+        self.symbol = symbol
+
+    def __missing__(self, key):
+        raise ValidationError(
+            "incomplete table: no row for (%r, %r) on %r"
+            % (key[0], key[1], self.symbol)
+        )
+
+
 class VerifierSpec:
     """Complete unitary verifier description.
 
     rows: {symbol: {(state, comm): ((amp, state', comm'), ...)}}
     head_dir: {(state', comm'): direction}
     row_class: {symbol: {(state, comm): "core"|"guard"|"completion"}}
+    moves: {padded symbol: MoveTable}, the rows with each target's head
+    direction attached; every verifier step reads these.
     analyses: input-independent results computed once per verifier by
-    the engine (announcement map, schedule adequacy); the tables are
-    never mutated after construction, so they stay valid.
+    the engine (announcement map, schedule adequacy).  The tables, the
+    move tables included, are built once in __init__ and never mutated
+    afterwards, so all of these stay valid.
     """
 
     def __init__(self, name, input_alphabet, comm_alphabet, non_halting,
@@ -81,6 +100,14 @@ class VerifierSpec:
         self.metadata = dict(metadata or {})
         self.analyses = {}
         self._validate_structure()
+        self.moves = {
+            sym: MoveTable(sym, {
+                key: tuple([(amp, q2, g2, self.head_dir[q2, g2])
+                            for amp, q2, g2 in targets])
+                for key, targets in self.rows.get(sym, {}).items()
+            })
+            for sym in self.padded_alphabet
+        }
 
     # -- structure -----------------------------------------------------
 
@@ -411,20 +438,14 @@ def build_step_operator(verifier, x, dense=False):
     """
     tape = padded_input(x, verifier.input_alphabet)
     length = len(tape)
+    cells = [verifier.moves[s] for s in tape]
     basis = step_basis(verifier, x)
     index = {lab: i for i, lab in enumerate(basis)}
     data, rows_ix, cols_ix = [], [], []
     for (q, k, g) in basis:
-        targets = verifier.row(tape[k], q, g)
-        if targets is None:
-            raise ValidationError(
-                "incomplete table: no row for (%r, %r) at symbol %r"
-                % (q, g, tape[k])
-            )
         col = index[(q, k, g)]
-        for amp, q2, g2 in targets:
-            k2 = (k + verifier.head_dir[(q2, g2)]) % length
-            rows_ix.append(index[(q2, k2, g2)])
+        for amp, q2, g2, d in cells[k][q, g]:
+            rows_ix.append(index[(q2, (k + d) % length, g2)])
             cols_ix.append(col)
             data.append(complex(amp))
     mat = scipy.sparse.csr_matrix(

@@ -9,7 +9,7 @@ Subcommands:
 * ``run`` — run one protocol on one input and print a report row.
 * ``sweep`` — per-input worst-case acceptance over an adversary family
   (exact message-schedule optimum where certified, otherwise the
-  bundle's own family), optionally in parallel, output in input order.
+  bundle's own family), output in input order.
 * ``trace`` — per-step configuration/amplitude listing; with ``--mcomp``
   the proverless comm-projection run with its per-step query mass.
 
@@ -26,7 +26,6 @@ import io
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -438,15 +437,7 @@ def cmd_sweep(args):
     bundle = instantiate(resolve_spec(args.spec), args.N)
     inputs = _sweep_inputs(args, bundle)
     cfg = engine_config(args, count_interactions=True)
-
-    def work(x):
-        return _sweep_one(bundle, x, args.family, cfg, args.tau)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(work, inputs))
-    else:
-        rows = [work(x) for x in inputs]
+    rows = [_sweep_one(bundle, x, args.family, cfg, args.tau) for x in inputs]
     emit_rows(rows, args)
     return 0
 
@@ -621,8 +612,6 @@ def build_parser():
                          default="auto",
                          help="adversary family (auto: exact schedule sweep "
                               "where certified, else the bundle's family)")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers; output stays in input order")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_trace = sub.add_parser("trace", parents=[common],

@@ -1,12 +1,14 @@
 """Simulation engine for verifier-prover runs.
 
 Global configurations are (state, head, comm, tape) tuples carried in a
-sparse amplitude vector.  One verifier step applies the per-symbol table
-and moves the head; the halting projection then banks accepting and
-rejecting mass; the prover acts between verifier steps.  One-way runs
-execute exactly |x| + 2 verifier steps; two-way runs stop when the live
-mass is gone, the halted mass passes the halt target, or the step budget
-runs out.  Truncated mass is reported as residual and never renormalized.
+sparse amplitude vector.  One verifier step (_verifier_step, shared by
+run_protocol and run_mcomp) applies the move table of each scanned symbol,
+moves the head and banks the halting mass; the schedule DP and the step
+operator read the same move tables.  The prover acts between verifier
+steps.  One-way runs execute exactly |x| + 2 verifier steps; two-way runs
+stop when the live mass is gone, the halted mass passes the halt target,
+or the step budget runs out.  Truncated and pruned mass are reported as
+residual and pruned, and never renormalized.
 """
 
 import time
@@ -15,9 +17,7 @@ from dataclasses import dataclass, field
 from .automata import (
     BLANK, padded_input,
 )
-from .errors import (
-    BudgetError, EngineError, FamilyInadequacyError, ValidationError,
-)
+from .errors import BudgetError, EngineError, FamilyInadequacyError
 from .linalg import SparseVector
 from .provers import IdentityProver, MessageSchedule, enumerate_schedules
 
@@ -75,25 +75,55 @@ class RunResult:
     budget_exhausted: bool = False
     step_records: list = None
     wallclock: float = 0.0
+    pruned: float = 0.0
 
     @property
     def acceptance_bounds(self):
-        """(certain, possible) acceptance probability given the residual."""
+        """(certain, possible) acceptance; possible adds unmeasured mass."""
         lo = min(max(self.p_acc, 0.0), 1.0)
-        return lo, min(1.0, lo + max(self.residual, 0.0))
+        return lo, min(1.0, lo + max(self.residual, 0.0) + self.pruned)
 
 
-def _sorted_live(vector):
-    return sorted(vector.items(), key=lambda kv: (
-        kv[0][0], kv[0][1], kv[0][2], kv[0][3]))
+def _verifier_step(verifier, cells, live, prune, counts):
+    """One verifier step over the per-cell move tables, then the halting
+    projection.  Returns (unpruned survivors, accepted mass, rejected mass,
+    live mass with a non-blank comm cell, each non-halting target's largest
+    interaction count when counts is given).
+    """
+    length = len(cells)
+    nxt = SparseVector()
+    nxt_counts = {} if counts is not None else None
+    for key, a in live.items():
+        q, k, g, y = key
+        base = counts[key] if counts is not None else 0
+        for amp, q2, g2, d in cells[k][q, g]:
+            key2 = (q2, (k + d) % length, g2, y)
+            nxt.add(key2, a * amp)
+            if nxt_counts is not None and not verifier.is_halting(q2):
+                gain = 1 if g2 != BLANK else 0
+                nxt_counts[key2] = max(nxt_counts.get(key2, -1), base + gain)
+    survivors = SparseVector(prune_threshold=prune)
+    kept = survivors.amplitudes
+    accepted = rejected = query_mass = 0.0
+    for key, a in nxt.items():
+        q2 = key[0]
+        w = (a * a.conjugate()).real
+        if verifier.is_accepting(q2):
+            accepted += w
+        elif verifier.is_rejecting(q2):
+            rejected += w
+        else:
+            kept[key] = a
+            if key[2] != BLANK:
+                query_mass += w
+    return survivors, accepted, rejected, query_mass, nxt_counts
 
 
 def run_protocol(verifier, x, prover=None, cfg=None):
     """Simulate one interactive run and return a RunResult."""
     cfg = cfg or EngineConfig()
     prover = prover or IdentityProver()
-    tape = padded_input(x, verifier.input_alphabet)
-    length = len(tape)
+    cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
     max_steps = resolve_max_steps(verifier, x, cfg)
     trunc = cfg.tape_trunc if cfg.tape_trunc is not None else max_steps + 2
     halt_target = (
@@ -115,40 +145,11 @@ def run_protocol(verifier, x, prover=None, cfg=None):
 
     for t in range(1, max_steps + 1):
         steps = t
-        # verifier step + halting projection
-        nxt = SparseVector(prune_threshold=cfg.prune)
-        nxt_counts = {} if counts is not None else None
-        for (q, k, g, y), a in live.items():
-            row = verifier.row(tape[k], q, g)
-            if row is None:
-                raise ValidationError(
-                    "incomplete verifier table at (%r, %r) on %r"
-                    % (q, g, tape[k])
-                )
-            base = counts[(q, k, g, y)] if counts is not None else 0
-            for amp, q2, g2 in row:
-                k2 = (k + verifier.head_dir[(q2, g2)]) % length
-                key = (q2, k2, g2, y)
-                nxt.add(key, a * amp)
-                if nxt_counts is not None and not verifier.is_halting(q2):
-                    gain = 1 if g2 != BLANK else 0
-                    prev = nxt_counts.get(key, -1)
-                    nxt_counts[key] = max(prev, base + gain)
-        survivors = SparseVector(prune_threshold=cfg.prune)
-        query_mass = 0.0
-        for key, a in nxt.items():
-            q2 = key[0]
-            w = (a * a.conjugate()).real
-            if verifier.is_accepting(q2):
-                p_acc += w
-            elif verifier.is_rejecting(q2):
-                p_rej += w
-            else:
-                survivors.add(key, a)
-                if key[2] != BLANK:
-                    query_mass += w
-        pruned_mass += survivors.prune()
-        live = survivors
+        live, accepted, rejected, query_mass, nxt_counts = _verifier_step(
+            verifier, cells, live, cfg.prune, counts)
+        p_acc += accepted
+        p_rej += rejected
+        pruned_mass += live.prune()
         if counts is not None:
             counts = {
                 key: c for key, c in nxt_counts.items() if key in live
@@ -163,7 +164,7 @@ def run_protocol(verifier, x, prover=None, cfg=None):
                 )
         if records is not None:
             records.append(StepRecord(
-                step=t, live=_sorted_live(live), p_acc=p_acc, p_rej=p_rej,
+                step=t, live=sorted(live.items()), p_acc=p_acc, p_rej=p_rej,
                 query_mass=query_mass,
             ))
         if t == max_steps:
@@ -199,6 +200,7 @@ def run_protocol(verifier, x, prover=None, cfg=None):
         interactions=max_queries if cfg.count_interactions else None,
         budget_exhausted=budget_exhausted,
         step_records=records, wallclock=time.perf_counter() - started,
+        pruned=pruned_mass,
     )
 
 
@@ -220,6 +222,7 @@ class MCompTrace:
     p_rej: float
     residual: float
     steps: int
+    pruned: float = 0.0
     step_records: list = None
 
 
@@ -230,59 +233,42 @@ def run_mcomp(verifier, x, cfg=None):
     the live component with a non-blank comm cell is recorded as that
     step's query mass, then that component is projected out (discarded,
     not renormalized).  Only one-way verifiers are supported.  The masses
-    list starts with a step-0 entry of 0.
+    list starts with a step-0 entry of 0; pruned is the mass the prune
+    threshold dropped from the blank-comm survivors.
     """
     if verifier.two_way:
         raise EngineError(
             "comm-projection runs are defined for one-way verifiers only"
         )
     cfg = cfg or EngineConfig()
-    tape = padded_input(x, verifier.input_alphabet)
-    length = len(tape)
-    max_steps = length
-    live = SparseVector({(verifier.initial, 0, BLANK): 1.0 + 0j},
+    cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
+    max_steps = len(cells)
+    live = SparseVector({(verifier.initial, 0, BLANK, ()): 1.0 + 0j},
                         prune_threshold=cfg.prune)
     masses = [0.0]
     p_acc = 0.0
     p_rej = 0.0
+    pruned = 0.0
     records = [] if cfg.record_steps else None
     for t in range(1, max_steps + 1):
-        nxt = SparseVector(prune_threshold=cfg.prune)
-        for (q, k, g), a in live.items():
-            row = verifier.row(tape[k], q, g)
-            if row is None:
-                raise ValidationError(
-                    "incomplete verifier table at (%r, %r) on %r"
-                    % (q, g, tape[k])
-                )
-            for amp, q2, g2 in row:
-                k2 = (k + verifier.head_dir[(q2, g2)]) % length
-                nxt.add((q2, k2, g2), a * amp)
-        survivors = SparseVector(prune_threshold=cfg.prune)
-        query_mass = 0.0
-        for key, a in nxt.items():
-            q2, _, g2 = key
-            w = (a * a.conjugate()).real
-            if verifier.is_accepting(q2):
-                p_acc += w
-            elif verifier.is_rejecting(q2):
-                p_rej += w
-            elif g2 != BLANK:
-                query_mass += w
-            else:
-                survivors.add(key, a)
-        survivors.prune()
-        live = survivors
+        live, accepted, rejected, query_mass, _ = _verifier_step(
+            verifier, cells, live, cfg.prune, None)
+        p_acc += accepted
+        p_rej += rejected
+        live.amplitudes = {
+            key: a for key, a in live.items() if key[2] == BLANK
+        }
+        pruned += live.prune()
         masses.append(query_mass)
         if records is not None:
             records.append(StepRecord(
-                step=t,
-                live=sorted(live.items(), key=lambda kv: kv[0]),
+                step=t, live=sorted((key[:3], a) for key, a in live.items()),
                 p_acc=p_acc, p_rej=p_rej, query_mass=query_mass,
             ))
     return MCompTrace(
         input=x, masses=masses, p_acc=p_acc, p_rej=p_rej,
-        residual=live.norm_sq(), steps=max_steps, step_records=records,
+        residual=live.norm_sq(), steps=max_steps, pruned=pruned,
+        step_records=records,
     )
 
 
@@ -431,17 +417,18 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
         announcement_map(verifier)
         best = -1.0
         best_id = None
-        residual = 0.0
+        unmeasured = 0.0
         for prover in (MessageSchedule({}, prover_id="leave-all"),
                        IdentityProver()):
             result = run_protocol(verifier, x, prover, cfg)
             _lo, hi = result.acceptance_bounds
-            residual = max(residual, result.residual)
+            unmeasured = max(unmeasured, result.residual + result.pruned)
             if hi > best:
                 best = hi
                 best_id = prover.prover_id
         return ScheduleSweep(
-            input=x, best_p=float(best), schedule={}, exact=residual <= cfg.tau,
+            input=x, best_p=float(best), schedule={},
+            exact=unmeasured <= cfg.tau,
             method="announced-dominance:%s" % best_id, runs=2,
         )
     _once(verifier, "schedule_adequacy", _require_schedule_adequacy)
@@ -452,8 +439,8 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
 
 
 def _schedule_dp(verifier, x, committed_only):
-    tape = padded_input(x, verifier.input_alphabet)
-    length = len(tape)
+    cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
+    length = len(cells)
     memo = {}
     choice = {}
 
@@ -461,8 +448,7 @@ def _schedule_dp(verifier, x, committed_only):
         key = (t, q, k, g)
         if key in memo:
             return memo[key]
-        row = verifier.row(tape[k], q, g)
-        amp, q2, g2 = row[0]
+        amp, q2, g2, d = cells[k][q, g][0]
         if abs(abs(amp) - 1.0) > 1e-9:
             raise FamilyInadequacyError(
                 "non-unimodular branch-free amplitude at (%r, %r)" % (q, g)
@@ -474,7 +460,7 @@ def _schedule_dp(verifier, x, committed_only):
         elif t == length:
             result = 0.0
         else:
-            k2 = (k + verifier.head_dir[(q2, g2)]) % length
+            k2 = (k + d) % length
             if committed_only and g2 == BLANK:
                 options = (BLANK,)
             else:
@@ -484,7 +470,7 @@ def _schedule_dp(verifier, x, committed_only):
                 v = value(t + 1, q2, k2, s)
                 if v > best:
                     best, best_s = v, s
-            choice[key] = (best_s, q2, g2)
+            choice[key] = (best_s, q2, k2, g2)
             result = best
         memo[key] = result
         return result
@@ -494,11 +480,10 @@ def _schedule_dp(verifier, x, committed_only):
     writes = {}
     t, q, k, g = 1, verifier.initial, 0, BLANK
     while (t, q, k, g) in choice:
-        s, q2, g2 = choice[(t, q, k, g)]
+        s, q2, k2, g2 = choice[(t, q, k, g)]
         if s != g2:
             writes[t] = s
-        k = (k + verifier.head_dir[(q2, g2)]) % length
-        t, q, g = t + 1, q2, s
+        t, q, k, g = t + 1, q2, k2, s
     return ScheduleSweep(
         input=x, best_p=float(best), schedule=writes, exact=True,
         method="dp", runs=len(memo),

@@ -1,11 +1,9 @@
 """Unit tests for verifier tables and the classical automaton runners."""
 
 import itertools
-import math
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qipsim.automata import (
     BLANK,
@@ -30,6 +28,7 @@ from qipsim.automata import (
 )
 from qipsim.errors import EngineError, ValidationError
 from qipsim.linalg import check_unitary
+from strategies import core_tables
 
 
 def test_padded_input_wraps_with_endmarkers():
@@ -132,6 +131,31 @@ def test_wellformed_missing_row_reports_infinite_defect():
     assert report.worst == float("inf")
 
 
+def test_move_tables_attach_head_directions():
+    rows = {
+        sym: {("q0", BLANK): ((1.0, "q0", BLANK),)}
+        for sym in (LEFT_END, "0")
+    }
+    rows[RIGHT_END] = {("q0", BLANK): ((1.0, "acc", BLANK),)}
+    v = complete_verifier(
+        name="dirs", input_alphabet=("0", "1"), comm_alphabet=(BLANK,),
+        non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
+        initial="q0", two_way=True, core_rows=rows,
+        head_dir={"q0": -1, "acc": 0, "rej": 0},
+    )
+    assert set(v.moves) == set(v.padded_alphabet)
+    assert v.moves["0"]["q0", BLANK] == ((1.0, "q0", BLANK, -1),)
+    assert v.moves[RIGHT_END]["q0", BLANK] == ((1.0, "acc", BLANK, 0),)
+    gappy = VerifierSpec(
+        name="gappy", input_alphabet=("0",), comm_alphabet=(BLANK,),
+        non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
+        initial="q0", two_way=False, rows={}, head_dir={},
+    )
+    with pytest.raises(ValidationError, match=(
+            r"incomplete table: no row for \('q0', '#'\) on '0'")):
+        gappy.moves["0"]["q0", BLANK]
+
+
 def test_public_symbol_format():
     one_way = tiny_accept_all()
     assert public_symbol(one_way, "q0") == "q0"
@@ -189,46 +213,6 @@ def test_guard_rows_share_one_rejecting_state_per_live_state():
     assert v.metadata["guard_states"] == 2
     for g in ("a", "b"):
         assert v.row("0", "q0", g) == ((1.0, "rej~q0'", g),)
-
-
-_SYMBOLS = (LEFT_END, "0", "1", RIGHT_END)
-
-
-@st.composite
-def core_tables(draw):
-    """Random authored tables whose rows are orthonormal partial columns.
-
-    Each row sends one live (state, comm) source to one or two fresh
-    targets with equal amplitudes, so completion always exists.
-    """
-    two_way = draw(st.booleans())
-    live = tuple("q%d" % i for i in range(draw(st.integers(1, 3))))
-    rejecting = ("rej",) + (("rej~q0",) if draw(st.booleans()) else ())
-    states = live + ("acc",) + rejecting
-    comm = (BLANK,) + ("a", "b")[:draw(st.integers(0, 2))]
-    sources = [(q, g) for q in live for g in comm]
-    rows = {}
-    for sym in _SYMBOLS:
-        picked = draw(st.lists(st.sampled_from(sources), unique=True))
-        free = draw(st.permutations([(q, g) for q in states for g in comm]))
-        table = {}
-        for key in picked:
-            width = min(draw(st.integers(1, 2)), len(free))
-            if width == 0:
-                break
-            amp = draw(st.sampled_from((1.0, -1.0, 1j))) / math.sqrt(width)
-            table[key] = tuple((amp, q2, g2) for q2, g2 in free[:width])
-            free = free[width:]
-        rows[sym] = table
-    if two_way:
-        head_dir = {q: draw(st.sampled_from((-1, 0, 1))) for q in states}
-    else:
-        head_dir = {}
-    return dict(
-        name="random", input_alphabet=("0", "1"), comm_alphabet=comm,
-        non_halting=live, accepting=("acc",), rejecting=rejecting,
-        initial="q0", two_way=two_way, core_rows=rows, head_dir=head_dir,
-    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,13 +1,18 @@
 """Unit tests for the interactive-protocol simulation engine."""
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qipsim import engine
-from qipsim.automata import BLANK
+from qipsim.automata import (
+    BLANK, LEFT_END, RIGHT_END, build_step_operator, complete_verifier,
+)
 from qipsim.engine import (
     EngineConfig,
     announcement_map,
@@ -19,9 +24,14 @@ from qipsim.engine import (
     run_protocol,
     sweep_family,
 )
-from qipsim.errors import EngineError, FamilyInadequacyError
+from qipsim.errors import EngineError, FamilyInadequacyError, ValidationError
 from qipsim.provers import ExplicitRoundProver, IdentityProver, MessageSchedule
+from qipsim.specfile import parse_spec, serialize_spec, verifier_document
 from qipsim.zoo import make_bundle
+from strategies import core_tables
+
+SHORT_INPUTS = ["".join(w) for n in range(3)
+                for w in itertools.product("01", repeat=n)]
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +94,110 @@ def test_conservation_counts_mass_pruned_after_the_prover_round(odd):
     r = run_protocol(odd.verifier, "10", prover, cfg)
     assert r.p_acc + r.p_rej + r.residual == pytest.approx(1.0 - s * s,
                                                            abs=1e-12)
+
+
+def leaky_verifier(s=1e-4):
+    """One-way: `^` sends amplitude s to q1, the rest to q0; both accept
+    at `$`, so the true acceptance is 1 on every input."""
+    c = math.sqrt(1.0 - s * s)
+    rows = {
+        LEFT_END: {("q0", BLANK): ((c, "q0", BLANK), (s, "q1", BLANK)),
+                   ("q1", BLANK): ((-s, "q0", BLANK), (c, "q1", BLANK))},
+        "0": {(q, BLANK): ((1.0, q, BLANK),) for q in ("q0", "q1")},
+        RIGHT_END: {("q0", BLANK): ((1.0, "acc0", BLANK),),
+                    ("q1", BLANK): ((1.0, "acc1", BLANK),)},
+    }
+    return complete_verifier(
+        name="leaky", input_alphabet=("0",), comm_alphabet=(BLANK,),
+        non_halting=("q0", "q1"), accepting=("acc0", "acc1"),
+        rejecting=("rej",), initial="q0", two_way=False, core_rows=rows,
+        head_dir={},
+    )
+
+
+def test_acceptance_bounds_include_pruned_mass():
+    v = leaky_verifier()
+    exact = run_protocol(v, "00", IdentityProver(), EngineConfig(prune=0.0))
+    assert exact.p_acc == pytest.approx(1.0, abs=1e-15)
+    r = run_protocol(v, "00", IdentityProver(), EngineConfig(prune=1e-3))
+    assert r.pruned == pytest.approx(1e-8, rel=1e-6)
+    lo, hi = r.acceptance_bounds
+    assert lo == pytest.approx(1.0 - 1e-8, abs=1e-15)
+    assert hi == pytest.approx(1.0, abs=1e-15)
+
+
+def test_mcomp_counts_pruned_mass():
+    trace = run_mcomp(leaky_verifier(), "00", EngineConfig(prune=1e-3))
+    assert trace.pruned == pytest.approx(1e-8, rel=1e-6)
+    assert trace.p_acc + trace.p_rej + trace.residual + sum(
+        trace.masses) + trace.pruned == pytest.approx(1.0, abs=1e-15)
+
+
+def test_announced_dominance_is_inexact_when_mass_is_pruned(blocks):
+    # every timing branch starts below the threshold and is pruned, so
+    # nothing is measured: the true optimum 0.25 is only bounded, by 1
+    sweep = best_schedule_acceptance(blocks.verifier, "001",
+                                     EngineConfig(prune=0.6))
+    assert not sweep.exact
+    assert sweep.best_p == pytest.approx(1.0)
+
+
+def test_schedule_dp_refuses_a_missing_live_row(odd):
+    doc = verifier_document(odd.verifier)
+    doc["rows"]["0"] = [entry for entry in doc["rows"]["0"]
+                        if entry["source"] != ["q0", BLANK]]
+    gappy = parse_spec(serialize_spec(doc)).make().verifier
+    with pytest.raises(ValidationError, match="incomplete table"):
+        best_schedule_acceptance(gappy, "0", method="dp")
+
+
+@settings(max_examples=40, deadline=None)
+@given(core_tables(two_way=False, max_width=1))
+def test_schedule_dp_matches_enumeration_on_random_tables(kwargs):
+    v = complete_verifier(**kwargs)
+    for x in SHORT_INPUTS:
+        dp = best_schedule_acceptance(v, x, method="dp")
+        brute = best_schedule_acceptance(v, x, method="enumeration")
+        assert dp.best_p == pytest.approx(brute.best_p, abs=1e-12)
+        rerun = run_protocol(v, x, MessageSchedule(dp.schedule))
+        assert rerun.p_acc == pytest.approx(dp.best_p, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(core_tables())
+def test_engine_steps_follow_the_step_operator(kwargs):
+    v = complete_verifier(**kwargs)
+    cfg = EngineConfig(prune=0.0, record_steps=True, max_steps=6)
+    for x in SHORT_INPUTS:
+        mat, basis = build_step_operator(v, x, dense=True)
+        index = {label: i for i, label in enumerate(basis)}
+        accepting = np.array([v.is_accepting(q) for q, _, _ in basis])
+        halting = np.array([v.is_halting(q) for q, _, _ in basis])
+        vec = np.zeros(len(basis), dtype=complex)
+        vec[index[(v.initial, 0, BLANK)]] = 1.0
+        p_acc = 0.0
+        for rec in run_protocol(v, x, IdentityProver(), cfg).step_records:
+            vec = mat @ vec
+            p_acc += float(np.sum(np.abs(vec[accepting]) ** 2))
+            vec[halting] = 0.0
+            live = np.zeros(len(basis), dtype=complex)
+            for (q, k, g, y), a in rec.live:
+                assert y == ()
+                live[index[(q, k, g)]] = a
+            assert np.allclose(live, vec, rtol=0.0, atol=1e-12)
+            assert rec.p_acc == pytest.approx(p_acc, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(core_tables(two_way=False, splits=(0.5, 1e-8)))
+def test_mcomp_conserves_mass_with_pruning(kwargs):
+    v = complete_verifier(**kwargs)
+    cfg = EngineConfig(prune=1e-3)
+    for x in SHORT_INPUTS:
+        trace = run_mcomp(v, x, cfg)
+        total = (trace.p_acc + trace.p_rej + trace.residual
+                 + sum(trace.masses) + trace.pruned)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_records_trace_the_run(zero):
@@ -216,7 +330,8 @@ def test_announcement_analysis_runs_once_per_verifier(monkeypatch):
 
 
 def test_concurrent_first_analyses_agree():
-    # --jobs threads may fill a fresh verifier's cache at the same time
+    # library callers sharing one verifier across threads may fill its
+    # cache at the same time
     blocks = make_bundle("equal_blocks", {"branches": 2})
     expected = engine._announcement_map(blocks.verifier)
     interval = sys.getswitchinterval()

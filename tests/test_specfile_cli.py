@@ -6,6 +6,7 @@ import math
 import pytest
 
 from qipsim import cli, engine
+from qipsim.automata import BLANK
 from qipsim.cli import main, resolve_spec
 from qipsim.engine import run_protocol
 from qipsim.errors import ParseError, ValidationError
@@ -182,6 +183,20 @@ def test_cli_check_catches_incomplete_table(tmp_path, capsys):
     assert "incomplete table" in err
 
 
+def test_cli_sweep_refuses_a_missing_live_row(tmp_path, capsys):
+    # the schedule DP reads the same move tables as the run, so a hole
+    # on the live path is the same validation error, not a crash
+    doc = verifier_document(make_bundle("odd").verifier)
+    doc["rows"]["0"] = [entry for entry in doc["rows"]["0"]
+                        if entry["source"] != ["q0", BLANK]]
+    path = tmp_path / "gappy.spec"
+    path.write_text(serialize_spec(doc), encoding="utf-8")
+    for argv in (["sweep", str(path), "--inputs", "0"],
+                 ["run", str(path), "--input", "0"]):
+        assert main(argv) == 3
+        assert "incomplete table" in capsys.readouterr().err
+
+
 def test_dropped_core_row_under_fill_becomes_a_guard(tmp_path):
     # with filling enabled the same deletion keeps the table unitary: the
     # orphaned pair is rerouted to a fresh rejecting guard state
@@ -213,16 +228,6 @@ def test_cli_sweep_zero_nonmembers(capsys):
         assert row["p_acc_upper"] == 0
 
 
-def test_cli_sweep_jobs_are_deterministic(capsys):
-    argv = ["sweep", "equal_blocks", "--N", "2", "--min-len", "0",
-            "--max-len", "3", "--format", "csv"]
-    assert main(argv + ["--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(argv + ["--jobs", "4"]) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
-
-
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -241,7 +246,7 @@ def _count_calls(monkeypatch, module, name):
     # two-way, not announced: it fails once, then the bundle family runs
     (["sweep", "center", "--N", "2", "--inputs", "1,100,010"], 3, 1),
     # one-way: the schedule DP never needs the announcement map
-    (["sweep", "odd", "--max-len", "3", "--jobs", "2"], 15, 0),
+    (["sweep", "odd", "--max-len", "3"], 15, 0),
 ])
 def test_cli_sweep_builds_and_analyses_once_per_command(
         argv, rows, announced, monkeypatch, capsys):
