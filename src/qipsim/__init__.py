@@ -14,7 +14,7 @@ from .errors import (
     BudgetError, EngineError, FamilyInadequacyError, LinalgError, ParseError,
     QipsimError, ValidationError,
 )
-from .linalg import SparseVector, check_unitary, make_qft, phase
+from .linalg import SparseVector, check_unitary, fourier_entry, make_qft
 from .automata import (
     BLANK, CORE, COMPLETION, GUARD, LEFT_END, RIGHT_END, OneRfaSpec,
     TwoNpfaSpec, VerifierSpec, build_step_operator, complete_verifier,
@@ -57,9 +57,10 @@ __all__ = [
     "branch_npfa", "build_step_operator", "center_protocol", "check_classical",
     "check_committed", "check_unitary", "coin_npfa", "complete_verifier",
     "enumerate_schedules", "equal_blocks_protocol", "first_option_chooser",
+    "fourier_entry",
     "interaction_count", "last_option_chooser", "make_bundle", "make_qft",
     "mod3_rfa", "npfa_embedding", "odd_zeros_protocol", "padded_input",
-    "parity_rfa", "phase", "public_symbol", "query_weight",
+    "parity_rfa", "public_symbol", "query_weight",
     "resolve_max_steps", "rfa_embedding", "run_1rfa", "run_2npfa",
     "run_mcomp", "run_protocol", "step_basis", "sweep_family",
     "validate_1rfa_reversible", "validate_2npfa_normalized",

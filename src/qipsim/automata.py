@@ -200,11 +200,16 @@ class VerifierSpec:
                 )
 
 
+def direction_symbol(state, direction):
+    """The "state|direction" comm symbol that announces a two-way move."""
+    return "%s|%+d" % (state, direction)
+
+
 def public_symbol(verifier, state, comm_written=None):
     """The comm symbol a public verifier must write when entering `state`.
 
-    One-way: the state id itself.  Two-way: "state|direction" where the
-    direction is the head movement of the (state, written) target pair.
+    One-way: the state id itself.  Two-way: direction_symbol of the state
+    and the head movement of the (state, written) target pair.
     """
     if not verifier.two_way:
         return state
@@ -213,7 +218,7 @@ def public_symbol(verifier, state, comm_written=None):
         raise ValidationError(
             "no head direction recorded for (%r, %r)" % (state, comm_written)
         )
-    return "%s|%+d" % (state, d)
+    return direction_symbol(state, d)
 
 
 # -- table completion ----------------------------------------------------
@@ -237,14 +242,17 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _resolve_dir(head_dir, state, comm, two_way):
+def resolve_dir(head_dir, state, comm, two_way):
+    """Direction of target (state, comm): its per-target entry, else its
+    per-state entry, else +1 when one-way; else ValidationError."""
     if (state, comm) in head_dir:
         return head_dir[(state, comm)]
     if state in head_dir:
         return head_dir[state]
     if not two_way:
         return 1
-    raise ValidationError("no head direction given for state %r" % (state,))
+    raise ValidationError(
+        "no head direction given for target (%r, %r)" % (state, comm))
 
 
 def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
@@ -278,7 +286,7 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
     def dir_for(state, comm):
         key = (state, comm)
         if key not in resolved_dir:
-            resolved_dir[key] = _resolve_dir(head_dir, state, comm, two_way)
+            resolved_dir[key] = resolve_dir(head_dir, state, comm, two_way)
         return resolved_dir[key]
 
     # normalize core targets and resolve their directions

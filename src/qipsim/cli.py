@@ -38,9 +38,7 @@ from .errors import (
     BudgetError, FamilyInadequacyError, ParseError, QipsimError,
     ValidationError,
 )
-from .provers import (
-    IdentityProver, MessageSchedule, check_classical, check_committed,
-)
+from .provers import IdentityProver, check_classical, check_committed
 from .specfile import LoadedSpec, load_spec, parse_spec
 
 REPORT_FIELDS = (
@@ -405,15 +403,7 @@ def _sweep_one(bundle, x, family, cfg, tau):
             if family == "schedule":
                 raise
         else:
-            if verifier.two_way:
-                if sweep.method.endswith("identity"):
-                    winner = IdentityProver()
-                else:
-                    winner = MessageSchedule({}, prover_id="leave-all")
-            else:
-                winner = MessageSchedule(sweep.schedule or {})
-            rerun = run_protocol(verifier, x, winner, cfg)
-            row = report_row(rerun, tau, wallclock=0.0)
+            row = report_row(sweep.witness, tau, wallclock=0.0)
             row["p_acc_upper"] = _tau_round(
                 max(row["p_acc_upper"], sweep.best_p), tau)
             return row
@@ -423,14 +413,8 @@ def _sweep_one(bundle, x, family, cfg, tau):
     elif family == "bundle" and bundle.adversary_family is None:
         raise ValidationError(
             "bundle %r declares no adversary family" % bundle.name)
-    best = None
-    best_hi = -1.0
-    for prover in provers:
-        result = run_protocol(verifier, x, prover, cfg)
-        hi = result.acceptance_bounds[1]
-        if hi > best_hi:
-            best, best_hi = result, hi
-    return report_row(best, tau, wallclock=0.0)
+    witness = sweep_family(verifier, x, provers, cfg).witness
+    return report_row(witness, tau, wallclock=0.0)
 
 
 def cmd_sweep(args):

@@ -289,12 +289,17 @@ def query_weight(verifier, prefix, suffix, cfg=None):
 
 @dataclass
 class ScheduleSweep:
+    """A certified best-schedule value; witness is the RunResult, run
+    with the caller's EngineConfig, that attains best_p.
+    """
+
     input: str
     best_p: float
     schedule: dict
     exact: bool
     method: str
     runs: int = 0
+    witness: RunResult = None
 
 
 def _once(verifier, key, compute):
@@ -398,11 +403,15 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
     do-nothing schedule and a diverted component only removes its own
     non-negative acceptance term.  The do-nothing schedule is therefore
     an exact optimum over all message schedules; the transparent prover
-    (no history records at all) is run as well and the larger value is
-    reported.  Non-announced two-way verifiers raise
-    FamilyInadequacyError.  The DP/enumeration methods and committed_only
-    are one-way options; passing them for a two-way verifier raises
-    EngineError.
+    (no history records at all) is run as well, both through
+    sweep_family, and the larger upper bound is reported.  Non-announced
+    two-way verifiers raise FamilyInadequacyError.  The DP/enumeration
+    methods and committed_only are one-way options; passing them for a
+    two-way verifier raises EngineError.
+
+    The sweep's witness is the run attaining best_p, made with cfg: the
+    DP's reconstructed schedule, enumeration's best run, or the family
+    witness under announced dominance.
     """
     cfg = cfg or EngineConfig()
     if method not in ("auto", "dp", "enumeration"):
@@ -415,30 +424,25 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
                 % (method, committed_only)
             )
         announcement_map(verifier)
-        best = -1.0
-        best_id = None
-        unmeasured = 0.0
-        for prover in (MessageSchedule({}, prover_id="leave-all"),
-                       IdentityProver()):
-            result = run_protocol(verifier, x, prover, cfg)
-            _lo, hi = result.acceptance_bounds
-            unmeasured = max(unmeasured, result.residual + result.pruned)
-            if hi > best:
-                best = hi
-                best_id = prover.prover_id
+        family = sweep_family(
+            verifier, x,
+            (MessageSchedule({}, prover_id="leave-all"), IdentityProver()),
+            cfg)
+        witness = family.witness
         return ScheduleSweep(
-            input=x, best_p=float(best), schedule={},
-            exact=unmeasured <= cfg.tau,
-            method="announced-dominance:%s" % best_id, runs=2,
+            input=x, best_p=float(family.best_upper), schedule={},
+            exact=all(r.residual + r.pruned <= cfg.tau for r in family.rows),
+            method="announced-dominance:%s" % witness.prover_id,
+            runs=len(family.rows), witness=witness,
         )
     _once(verifier, "schedule_adequacy", _require_schedule_adequacy)
     if method in ("auto", "dp"):
-        return _schedule_dp(verifier, x, committed_only)
+        return _schedule_dp(verifier, x, cfg, committed_only)
     return _schedule_enumeration(verifier, x, cfg, committed_only,
                                  enumeration_budget)
 
 
-def _schedule_dp(verifier, x, committed_only):
+def _schedule_dp(verifier, x, cfg, committed_only):
     cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
     length = len(cells)
     memo = {}
@@ -487,12 +491,12 @@ def _schedule_dp(verifier, x, committed_only):
     return ScheduleSweep(
         input=x, best_p=float(best), schedule=writes, exact=True,
         method="dp", runs=len(memo),
+        witness=run_protocol(verifier, x, MessageSchedule(writes), cfg),
     )
 
 
 def _schedule_enumeration(verifier, x, cfg, committed_only, budget):
-    best = -1.0
-    best_writes = None
+    witness = None
     runs = 0
     rounds = len(x) + 1
     for schedule in enumerate_schedules(
@@ -500,12 +504,12 @@ def _schedule_enumeration(verifier, x, cfg, committed_only, budget):
             committed_only=committed_only, budget=budget):
         result = run_protocol(verifier, x, schedule, cfg)
         runs += 1
-        if result.p_acc > best:
-            best = result.p_acc
+        if witness is None or result.p_acc > witness.p_acc:
+            witness = result
             best_writes = dict(schedule.writes)
     return ScheduleSweep(
-        input=x, best_p=float(best), schedule=best_writes, exact=True,
-        method="enumeration", runs=runs,
+        input=x, best_p=float(witness.p_acc), schedule=best_writes,
+        exact=True, method="enumeration", runs=runs, witness=witness,
     )
 
 
@@ -518,6 +522,11 @@ class FamilySweep:
     best_lower: float
     best_upper: float
     rows: list = field(default_factory=list)
+
+    @property
+    def witness(self):
+        """The row attaining best_upper; the first one on ties."""
+        return max(self.rows, key=lambda result: result.acceptance_bounds[1])
 
     def csv_rows(self):
         """(input, adversary id, p_acc lower, p_acc upper, interactions)."""

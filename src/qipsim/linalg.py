@@ -1,6 +1,5 @@
 """Small complex linear-algebra helpers used by the simulation engine."""
 
-import cmath
 import math
 
 import numpy as np
@@ -15,11 +14,28 @@ def make_qft(n):
     column indices, so the n=2 instance is [[-1, 1], [1, 1]] / sqrt(2).
     Raises LinalgError for n < 1.
     """
+    n = _dimension(n)
+    idx = np.arange(1, n + 1)
+    return _fourier(np.outer(idx, idx), n)
+
+
+def fourier_entry(n, j, l):
+    """make_qft(n)[l - 1, j - 1] with j and l taken modulo n into 1..n,
+    computed as make_qft computes it, so the bits agree.
+    """
+    n = _dimension(n)
+    products = np.array([float(((j - 1) % n + 1) * ((l - 1) % n + 1))])
+    return complex(_fourier(products, n)[0])
+
+
+def _dimension(n):
     if int(n) != n or n < 1:
         raise LinalgError("invalid dimension for mixing matrix: %r" % (n,))
-    n = int(n)
-    idx = np.arange(1, n + 1)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / n) / math.sqrt(n)
+    return int(n)
+
+
+def _fourier(products, n):
+    return np.exp(2j * np.pi * products / n) / math.sqrt(n)
 
 
 def check_unitary(matrix, tau=1e-9):
@@ -160,8 +176,3 @@ def vec_apply(matrix, vector, labels):
             out.add(lab, complex(amp))
     out.prune()
     return out
-
-
-def phase(angle_turns):
-    """exp(2*pi*i*angle_turns) — convenience for table constructions."""
-    return cmath.exp(2j * cmath.pi * angle_turns)

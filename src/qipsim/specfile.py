@@ -15,22 +15,23 @@ Spec files are JSON documents of two kinds:
 
 Amplitudes may be written as decimal pairs ``{"re": .., "im": ..}`` or
 as exact constructor forms: ``{"fourier": {"n": N, "j": J, "l": L}}``
-denotes the mixing-matrix entry exp(2*pi*i*J*L/N)/sqrt(N), and
+denotes the mixing-matrix entry exp(2*pi*i*J*L/N)/sqrt(N), computed
+as ``fourier_entry`` computes it (the bits of ``make_qft``), and
 ``{"invsqrt": N}`` denotes 1/sqrt(N).  Constructor forms evaluate at
 parse time, and the serializer always emits decimal pairs, so
 parse -> serialize -> parse is the identity on the parsed document.
 """
 
-import cmath
 import json
 import math
 from dataclasses import replace
 
 from .automata import (
     CORE, COMPLETION, GUARD, LEFT_END, RIGHT_END, VerifierSpec,
-    complete_verifier,
+    complete_verifier, resolve_dir,
 )
 from .errors import ParseError
+from .linalg import fourier_entry
 from .provers import IdentityProver, MessageSchedule
 from .zoo import BUNDLES, ProtocolBundle, make_bundle
 
@@ -73,17 +74,21 @@ def evaluate_amplitude(form, where="amplitude"):
             n, j, l = spec
         else:
             _fail(where, "fourier form needs {n, j, l} or [n, j, l]")
-        n, j, l = int(n), int(j), int(l)
+        try:
+            n, j, l = int(n), int(j), int(l)
+        except (TypeError, ValueError, OverflowError):
+            _fail(where, "fourier form needs integers n, j, l, got %r"
+                  % (spec,))
         if n <= 0:
             _fail(where, "fourier order must be positive, got %d" % n)
-        return cmath.exp(2j * cmath.pi * j * l / n) / math.sqrt(n)
+        return fourier_entry(n, j, l)
     if keys == {"invsqrt"}:
         spec = form["invsqrt"]
         if isinstance(spec, dict):
             spec = spec.get("n", spec.get("N"))
         try:
             n = int(spec)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             _fail(where, "invsqrt form needs an integer order")
         if n <= 0:
             _fail(where, "invsqrt order must be positive, got %d" % n)
@@ -128,10 +133,6 @@ class LoadedSpec:
         if not isinstance(other, LoadedSpec):
             return NotImplemented
         return self.document == other.document
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __repr__(self):
         return "LoadedSpec(kind=%r, name=%r, source=%r)" % (
@@ -425,11 +426,11 @@ def _normalize_honest(raw, source):
 def _make_from_verifier_document(document):
     name = document["name"]
     two_way = document["two_way"]
-    per_state = document["head_dir"]["per_state"]
-    per_target = {
-        (state, comm): d
+    head_dir = dict(document["head_dir"]["per_state"])
+    head_dir.update(
+        ((state, comm), d)
         for state, comm, d in document["head_dir"]["per_target"]
-    }
+    )
 
     rows = {}
     classes = {}
@@ -449,8 +450,6 @@ def _make_from_verifier_document(document):
 
     fill = document["fill"]["guards"]
     if fill:
-        head_dir = dict(per_state)
-        head_dir.update(per_target)
         verifier = complete_verifier(
             name=name, input_alphabet=tuple(document["input_alphabet"]),
             comm_alphabet=tuple(document["comm_alphabet"]),
@@ -462,22 +461,12 @@ def _make_from_verifier_document(document):
             metadata=document.get("metadata"),
         )
     else:
-        resolved = {}
-        for table in rows.values():
-            for targets in table.values():
-                for _, q2, g2 in targets:
-                    if (q2, g2) in resolved:
-                        continue
-                    if (q2, g2) in per_target:
-                        resolved[(q2, g2)] = per_target[(q2, g2)]
-                    elif q2 in per_state:
-                        resolved[(q2, g2)] = per_state[q2]
-                    elif not two_way:
-                        resolved[(q2, g2)] = 1
-                    else:
-                        raise ParseError(
-                            "%s: no head direction for target (%r, %r)"
-                            % (name, q2, g2))
+        resolved = {
+            (q2, g2): resolve_dir(head_dir, q2, g2, two_way)
+            for table in rows.values()
+            for targets in table.values()
+            for _, q2, g2 in targets
+        }
         verifier = VerifierSpec(
             name=name, input_alphabet=tuple(document["input_alphabet"]),
             comm_alphabet=tuple(document["comm_alphabet"]),

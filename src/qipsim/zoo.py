@@ -6,16 +6,17 @@ the interference-based two-way protocols) a parameterized adversary
 family that realizes the worst case.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
 from .automata import (
     BLANK, LEFT_END, RIGHT_END, OneRfaSpec, TwoNpfaSpec, complete_verifier,
-    first_option_chooser, run_1rfa, validate_1rfa_reversible,
-    validate_2npfa_normalized,
+    direction_symbol, first_option_chooser, run_1rfa,
+    validate_1rfa_reversible, validate_2npfa_normalized,
 )
 from .errors import ValidationError
-from .linalg import phase
+from .linalg import make_qft
 from .provers import HistoryResponder, IdentityProver, MessageSchedule
 
 
@@ -29,10 +30,6 @@ class ProtocolBundle:
     adversary_family: object = None   # callable str -> [Prover], or None
     params: dict = field(default_factory=dict)
     check_inputs: tuple = ("", "0", "1", "01", "10", "110")
-
-
-def _pub(state, direction):
-    return "%s|%+d" % (state, direction)
 
 
 # -- final-symbol protocol ---------------------------------------------------
@@ -249,14 +246,6 @@ def _hat(state):
     return state + "^"
 
 
-def _pick_symbol(state, direction):
-    return "%s|%+d" % (state, direction)
-
-
-def _echo_symbol(hat_state, direction):
-    return "%s|%+d" % (hat_state, direction)
-
-
 def npfa_embedding(machine, name=None, chooser=None):
     """Wrap a coin/choice automaton as a two-way interactive protocol.
 
@@ -277,7 +266,7 @@ def npfa_embedding(machine, name=None, chooser=None):
     for sym in machine.padded_alphabet:
         for p in machine.coin_states:
             a, b = machine.coin[(p, sym)]
-            coin_sym = _pick_symbol(p, 1)
+            coin_sym = direction_symbol(p, 1)
             amp = 1.0 / math.sqrt(2.0)
             core[sym][(p, BLANK)] = ((amp, a, coin_sym), (amp, b, coin_sym))
             head_dir[(a, coin_sym)] = 1
@@ -287,8 +276,8 @@ def npfa_embedding(machine, name=None, chooser=None):
             core[sym][(p, BLANK)] = ((1.0, hat, QUERY_MARK),)
             head_dir[(hat, QUERY_MARK)] = 0
             for q2, d in machine.choice[(p, sym)]:
-                echo = _echo_symbol(hat, d)
-                core[sym][(hat, _pick_symbol(q2, d))] = ((1.0, q2, echo),)
+                echo = direction_symbol(hat, d)
+                core[sym][(hat, direction_symbol(q2, d))] = ((1.0, q2, echo),)
                 head_dir[(q2, echo)] = d
     comm = [BLANK, QUERY_MARK]
     for targets in core.values():
@@ -298,7 +287,7 @@ def npfa_embedding(machine, name=None, chooser=None):
                     comm.append(g2)
     for opts in machine.choice.values():
         for q2, d in opts:
-            s = _pick_symbol(q2, d)
+            s = direction_symbol(q2, d)
             if s not in comm:
                 comm.append(s)
 
@@ -381,7 +370,7 @@ def _witness_rounds(machine, x, chooser):
                 )
             q2, d = opts.pop()
             v_step += 1
-            answers[v_step] = _pick_symbol(q2, d)
+            answers[v_step] = direction_symbol(q2, d)
             v_step += 1
             live = {(q2, (k + d) % length) for (_, k) in live}
     return answers
@@ -452,6 +441,7 @@ def center_protocol(branches=2):
         raise ValidationError("need at least two interference branches")
     js = list(range(1, n_b + 1))
     root = 1.0 / math.sqrt(n_b)
+    mix = make_qft(n_b)
 
     live = ["scan0", "scan1", "rewind", "seek"]
     for j in js:
@@ -516,7 +506,7 @@ def center_protocol(branches=2):
         core[RIGHT_END][(turn, MARK)] = ((1.0, "fast%d" % j, MARK),)
         head_dir[(turn, MARK)] = 0
         core[LEFT_END][("c%d.0" % j, MARK)] = tuple(
-            (phase(j * l / n_b) * root, "fin%d" % l, BLANK)
+            (complex(mix[l - 1, j - 1]), "fin%d" % l, BLANK)
             for l in range(1, n_b + 1)
         )
     for l in range(1, n_b + 1):
@@ -586,6 +576,7 @@ def equal_blocks_protocol(branches=2):
         raise ValidationError("need at least two interference branches")
     js = list(range(1, n_b + 1))
     root = 1.0 / math.sqrt(n_b)
+    mix = make_qft(n_b)
 
     live = ["z", "fz", "zeros", "ones", "back0", "back1a", "back1b", "g"]
     for j in js:
@@ -609,7 +600,7 @@ def equal_blocks_protocol(branches=2):
         dirs["fin%d" % l] = 0
 
     def pub(state):
-        return _pub(state, dirs[state])
+        return direction_symbol(state, dirs[state])
 
     def e(state):
         return (1.0, state, pub(state))
@@ -654,7 +645,7 @@ def equal_blocks_protocol(branches=2):
                 e("b%d.%d" % (j, k + 1)),)
         core["1"][("b%d.%d" % (j, j), pub("b%d.%d" % (j, j)))] = (e(m),)
         core[RIGHT_END][(m, pub(m))] = tuple(
-            (phase(j * l / n_b) * root, "fin%d" % l, pub("fin%d" % l))
+            (complex(mix[l - 1, j - 1]), "fin%d" % l, pub("fin%d" % l))
             for l in range(1, n_b + 1)
         )
 
@@ -665,16 +656,10 @@ def equal_blocks_protocol(branches=2):
                 if g2 not in comm:
                     comm.append(g2)
 
-    head_dir = {}
-    for table in core.values():
-        for row in table.values():
-            for _, q2, g2 in row:
-                head_dir[(q2, g2)] = dirs[q2]
-
     verifier = complete_verifier(
         name="equal_blocks", input_alphabet=("0", "1"), comm_alphabet=comm,
         non_halting=live, accepting=acc, rejecting=rej, initial="z",
-        two_way=True, core_rows=core, head_dir=head_dir,
+        two_way=True, core_rows=core, head_dir=dirs,
         metadata={
             "notes": "public timing-interference protocol for equal 0/1 "
                      "blocks; empty input accepted at the right end, "
@@ -715,13 +700,11 @@ def equal_blocks_protocol(branches=2):
 
 # -- registry -----------------------------------------------------------------
 
-def _make_rfa(params):
-    preset = params.get("preset")
+def _make_rfa(preset=None, machine=None):
     if preset == "parity":
         return rfa_embedding(parity_rfa(), name="rfa_parity")
     if preset == "mod3":
         return rfa_embedding(mod3_rfa(), name="rfa_mod3")
-    machine = params.get("machine")
     if isinstance(machine, dict):
         spec = OneRfaSpec(
             name=machine.get("name", "custom"),
@@ -738,8 +721,7 @@ def _make_rfa(params):
     )
 
 
-def _make_npfa(params):
-    preset = params.get("preset")
+def _make_npfa(preset=None):
     if preset == "coin":
         return npfa_embedding(coin_npfa(), name="npfa_coin")
     if preset == "branch":
@@ -749,21 +731,33 @@ def _make_npfa(params):
     raise ValidationError("npfa bundle needs preset 'coin' or 'branch'")
 
 
+# Each factory's keyword parameters are the params its bundle reads.
 BUNDLES = {
-    "zero": lambda params: zero_protocol(),
-    "odd": lambda params: odd_zeros_protocol(),
-    "center": lambda params: center_protocol(params.get("branches", 2)),
-    "equal_blocks": lambda params: equal_blocks_protocol(
-        params.get("branches", 2)),
+    "zero": zero_protocol,
+    "odd": odd_zeros_protocol,
+    "center": center_protocol,
+    "equal_blocks": equal_blocks_protocol,
     "rfa": _make_rfa,
     "npfa": _make_npfa,
 }
 
 
 def make_bundle(name, params=None):
-    """Instantiate a registered protocol bundle by name."""
+    """Instantiate a registered protocol bundle by name.
+
+    Raises ValidationError for an unknown name and for a param the named
+    bundle does not read.
+    """
     if name not in BUNDLES:
         raise ValidationError(
             "unknown bundle %r; known: %s" % (name, ", ".join(sorted(BUNDLES)))
         )
-    return BUNDLES[name](params or {})
+    params = params or {}
+    reads = list(inspect.signature(BUNDLES[name]).parameters)
+    unread = sorted(set(params) - set(reads))
+    if unread:
+        raise ValidationError(
+            "bundle %r does not read params %s; it reads %s"
+            % (name, unread, reads or "none")
+        )
+    return BUNDLES[name](**params)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qipsim.automata import (
     BLANK,
@@ -230,6 +231,37 @@ def test_completion_property_on_random_core_tables(kwargs):
     inputs = ["".join(w) for n in range(3)
               for w in itertools.product("01", repeat=n)]
     assert validate_wellformed(v, inputs=inputs).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(core_tables(), st.data())
+def test_per_symbol_unitarity_decides_step_unitarity(kwargs, data):
+    v = complete_verifier(**kwargs)
+    inputs = ["".join(w) for n in range(3)
+              for w in itertools.product("01", repeat=n)]
+    report = validate_wellformed(v, inputs=inputs)
+    assert max(report.per_symbol.values()) <= report.tau
+    assert max(report.per_input.values()) <= report.tau
+    # one row scaled by 1.5 breaks its symbol's table and exactly the
+    # step operators of the inputs whose tape carries that symbol
+    sym = data.draw(st.sampled_from(v.padded_alphabet))
+    key = data.draw(st.sampled_from(sorted(v.rows[sym])))
+    rows = {s: dict(table) for s, table in v.rows.items()}
+    rows[sym][key] = tuple((1.5 * amp, q2, g2)
+                           for amp, q2, g2 in rows[sym][key])
+    scaled = VerifierSpec(
+        name="scaled", input_alphabet=v.input_alphabet,
+        comm_alphabet=v.comm_alphabet, non_halting=v.non_halting,
+        accepting=v.accepting, rejecting=v.rejecting, initial=v.initial,
+        two_way=v.two_way, rows=rows, head_dir=v.head_dir,
+        row_class=v.row_class,
+    )
+    bad = validate_wellformed(scaled, inputs=inputs)
+    assert not bad.ok
+    for s, defect in bad.per_symbol.items():
+        assert (defect > bad.tau) == (s == sym)
+    for x, defect in bad.per_input.items():
+        assert (defect > bad.tau) == (sym in padded_input(x))
 
 
 def parity_machine():

@@ -161,6 +161,9 @@ def test_schedule_dp_matches_enumeration_on_random_tables(kwargs):
         assert dp.best_p == pytest.approx(brute.best_p, abs=1e-12)
         rerun = run_protocol(v, x, MessageSchedule(dp.schedule))
         assert rerun.p_acc == pytest.approx(dp.best_p, abs=1e-12)
+        for sweep in (dp, brute):
+            assert sweep.witness.p_acc == pytest.approx(sweep.best_p,
+                                                        abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,6 +273,12 @@ def test_schedule_best_dp_matches_enumeration(zero, odd):
             rerun = run_protocol(
                 bundle.verifier, x, MessageSchedule(dp.schedule))
             assert rerun.p_acc == pytest.approx(dp.best_p, abs=1e-12)
+            # each sweep carries a run that attains its value
+            for sweep in (dp, brute):
+                assert sweep.witness.p_acc == pytest.approx(sweep.best_p,
+                                                            abs=1e-12)
+            assert dp.witness.prover_id == MessageSchedule(
+                dp.schedule).prover_id
 
 
 def test_schedule_best_committed_only_is_no_better(odd):
@@ -290,6 +299,9 @@ def test_two_way_schedule_sweep_uses_announcements(blocks):
     assert member.method.startswith("announced-dominance")
     negative = best_schedule_acceptance(blocks.verifier, "001")
     assert negative.best_p == pytest.approx(0.25, abs=1e-12)
+    for sweep in (member, negative):
+        assert sweep.witness.acceptance_bounds[1] == sweep.best_p
+        assert sweep.method.endswith(":" + sweep.witness.prover_id)
 
 
 @pytest.mark.parametrize("kwargs", [

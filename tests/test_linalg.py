@@ -13,7 +13,6 @@ from qipsim.linalg import (
     ensure_finite,
     format_amplitude,
     make_qft,
-    phase,
     vec_apply,
 )
 
@@ -64,11 +63,6 @@ def test_ensure_finite_passes_and_fails():
         ensure_finite(float("nan"))
     with pytest.raises(LinalgError):
         ensure_finite(complex(float("inf"), 0.0))
-
-
-def test_phase_quarter_turn():
-    assert abs(phase(0.25) - 1j) <= 1e-12
-    assert abs(phase(0.5) + 1.0) <= 1e-12
 
 
 def test_sparse_vector_add_and_cancel():

@@ -4,12 +4,14 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from qipsim import cli, engine
-from qipsim.automata import BLANK
+from qipsim.automata import BLANK, complete_verifier
 from qipsim.cli import main, resolve_spec
 from qipsim.engine import run_protocol
 from qipsim.errors import ParseError, ValidationError
+from qipsim.linalg import make_qft
 from qipsim.specfile import (
     bundle_document,
     evaluate_amplitude,
@@ -18,6 +20,7 @@ from qipsim.specfile import (
     verifier_document,
 )
 from qipsim.zoo import make_bundle
+from strategies import core_tables
 
 SHIPPED = [
     "zero", "odd", "center", "equal_blocks", "rfa_parity", "rfa_mod3",
@@ -38,6 +41,15 @@ def test_shipped_specs_parse_build_and_round_trip(token):
     assert serialize_spec(again.document) == serialize_spec(loaded.document)
 
 
+@settings(max_examples=40, deadline=None)
+@given(core_tables())
+def test_verifier_documents_round_trip_byte_stable(kwargs):
+    text = serialize_spec(verifier_document(complete_verifier(**kwargs)))
+    loaded = parse_spec(text)
+    assert serialize_spec(loaded) == text
+    assert serialize_spec(verifier_document(loaded.make().verifier)) == text
+
+
 def test_evaluate_amplitude_forms():
     assert evaluate_amplitude(0.5, "here") == 0.5 + 0j
     assert evaluate_amplitude({"re": 0.0, "im": -1.0}, "here") == -1j
@@ -49,6 +61,33 @@ def test_evaluate_amplitude_forms():
         evaluate_amplitude({"mystery": 1}, "here")
     with pytest.raises(ParseError):
         evaluate_amplitude("one half", "here")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fourier_form_is_the_make_qft_entry(n):
+    mix = make_qft(n)
+    for j in range(1, n + 1):
+        for l in range(1, n + 1):
+            form = evaluate_amplitude({"fourier": {"n": n, "j": j, "l": l}})
+            assert abs(form - mix[l - 1, j - 1]) <= 1e-15
+            # the entry depends on j and l only modulo n
+            assert evaluate_amplitude({"fourier": [n, j + n, l - n]}) == form
+
+
+@pytest.mark.parametrize("form", [
+    {"fourier": ["a", 1, 1]},
+    {"fourier": {"n": None, "j": 1, "l": 1}},
+])
+def test_fourier_form_with_a_non_integer_is_a_parse_error(form, tmp_path,
+                                                           capsys):
+    with pytest.raises(ParseError, match="integers"):
+        evaluate_amplitude(form)
+    doc = json.loads(serialize_spec(resolve_spec("toy_explicit").document))
+    doc["rows"]["0"][0]["targets"][0][0] = form
+    path = tmp_path / "bad_fourier.spec"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--input", "0"]) == 2
+    assert "integers" in capsys.readouterr().err
 
 
 def test_parse_spec_reports_json_position():
@@ -211,6 +250,24 @@ def test_dropped_core_row_under_fill_becomes_a_guard(tmp_path):
     assert bundle.verifier.is_rejecting(targets[0][1])
 
 
+def test_missing_head_direction_is_a_validation_error(tmp_path, capsys):
+    # fill disabled: the exported document loses one target's direction
+    doc = verifier_document(make_bundle("center").verifier)
+    state, comm, _ = doc["head_dir"]["per_target"].pop(0)
+    path = tmp_path / "no_dir.spec"
+    path.write_text(serialize_spec(doc), encoding="utf-8")
+    assert main(["run", str(path), "--input", "1"]) == 3
+    assert "no head direction given for target (%r, %r)" % (state, comm) \
+        in capsys.readouterr().err
+    # fill enabled: a two-way target with no direction fails the same way
+    doc = json.loads(serialize_spec(resolve_spec("toy_explicit").document))
+    doc["two_way"] = True
+    doc["head_dir"] = {"per_state": {}, "per_target": []}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path), "--input", "0"]) == 3
+    assert "no head direction given for target" in capsys.readouterr().err
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.spec"
     path.write_text('{"format": "qip-spec-1"', encoding="utf-8")
@@ -240,6 +297,18 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+# Engine runs per sweep command below; each reported row is a run the
+# certification already made, never a rerun.
+SWEEP_RUNS = {
+    # leave-all and identity once per input
+    "equal_blocks": 30,
+    # honest, identity and one mark schedule per cell, per input
+    "center": 13,
+    # the DP's optimal schedule once per input
+    "odd": 15,
+}
+
+
 @pytest.mark.parametrize("argv,rows,announced", [
     # two-way and announced: the analysis succeeds once
     (["sweep", "equal_blocks", "--N", "2", "--max-len", "3"], 15, 1),
@@ -252,10 +321,13 @@ def test_cli_sweep_builds_and_analyses_once_per_command(
         argv, rows, announced, monkeypatch, capsys):
     builds = _count_calls(monkeypatch, cli, "instantiate")
     analyses = _count_calls(monkeypatch, engine, "_announcement_map")
+    runs = _count_calls(monkeypatch, engine, "run_protocol")
+    monkeypatch.setattr(cli, "run_protocol", engine.run_protocol)
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == rows
     assert len(builds) == 1
     assert len(analyses) == announced
+    assert len(runs) == SWEEP_RUNS[argv[1]]
 
 
 def test_cli_sweep_quotes_schedule_ids_in_csv(capsys):
@@ -319,6 +391,29 @@ def test_cli_out_writes_file(tmp_path, capsys):
 def test_cli_n_override_requires_bundle_spec(capsys):
     code = main(["run", "toy_explicit", "--N", "3", "--input", "0"])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "zero", "--N", "5"],
+    ["run", "rfa_parity", "--N", "3", "--input", "0"],
+    ["sweep", "odd", "--N", "2", "--inputs", "1"],
+])
+def test_cli_n_override_needs_a_bundle_that_reads_branches(argv, capsys):
+    assert main(argv) == 3
+    assert "does not read params ['branches']" in capsys.readouterr().err
+
+
+def test_spec_file_params_the_bundle_does_not_read_are_refused(tmp_path,
+                                                                capsys):
+    path = tmp_path / "zero3.spec"
+    path.write_text(serialize_spec(bundle_document("zero", {"branches": 3})),
+                    encoding="utf-8")
+    assert main(["run", str(path), "--input", "0"]) == 3
+    assert "does not read params ['branches']" in capsys.readouterr().err
+    path.write_text(serialize_spec(bundle_document(
+        "npfa", {"preset": "coin", "machine": "coin"})), encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert "does not read params ['machine']" in capsys.readouterr().err
 
 
 def test_cli_unknown_subcommand_is_a_usage_error():
