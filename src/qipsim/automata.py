@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import EngineError, ValidationError
-from .linalg import ensure_finite
+from .linalg import check_unitary, ensure_finite
 
 LEFT_END = "^"
 RIGHT_END = "$"
@@ -438,11 +438,10 @@ def step_basis(verifier, x):
     ]
 
 
-def build_step_operator(verifier, x, dense=False):
+def build_step_operator(verifier, x):
     """The verifier-step unitary on (state, head, comm) for input x.
 
-    Returns (matrix, basis) with the matrix in CSR form (or a dense
-    ndarray when dense=True).
+    Returns (matrix, basis) with the matrix in CSR form.
     """
     tape = padded_input(x, verifier.input_alphabet)
     length = len(tape)
@@ -459,19 +458,7 @@ def build_step_operator(verifier, x, dense=False):
     mat = scipy.sparse.csr_matrix(
         (data, (rows_ix, cols_ix)), shape=(len(basis), len(basis)), dtype=complex
     )
-    if dense:
-        return mat.toarray(), basis
     return mat, basis
-
-
-def _sparse_unitary_defect(mat):
-    n = mat.shape[0]
-    gram = (mat.conj().T @ mat).tocoo()
-    eye = scipy.sparse.identity(n, dtype=complex, format="coo")
-    diff = (gram - eye).tocoo()
-    if diff.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(diff.data)))
 
 
 @dataclass
@@ -499,7 +486,9 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
     Per-symbol check: for each padded symbol, the (state, comm) table must
     be unitary; this implies every whole-step operator is unitary for the
     head arithmetic used here.  `inputs` optionally lists strings whose
-    step operators are checked exhaustively as well.
+    step operators are checked exhaustively as well.  Each defect is
+    linalg.check_unitary's on the sparse matrix; a symbol with a missing
+    row has defect inf.  ok is every defect <= tau.
     """
     per_symbol = {}
     pairs = [
@@ -522,11 +511,11 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
         if len(table) != len(pairs):
             per_symbol[sym] = float("inf")
             continue
-        per_symbol[sym] = _sparse_unitary_defect(mat)
+        _, per_symbol[sym] = check_unitary(mat)
     per_input = {}
     for x in (inputs or ()):
         mat, _ = build_step_operator(verifier, x)
-        per_input[x] = _sparse_unitary_defect(mat)
+        _, per_input[x] = check_unitary(mat)
     defects = list(per_symbol.values()) + list(per_input.values())
     ok = all(d <= tau for d in defects)
     return WellformedReport(ok=ok, per_symbol=per_symbol,

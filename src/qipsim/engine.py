@@ -84,7 +84,7 @@ class RunResult:
         return lo, min(1.0, lo + max(self.residual, 0.0) + self.pruned)
 
 
-def _verifier_step(verifier, cells, live, prune, counts):
+def _verifier_step(verifier, cells, live, counts):
     """One verifier step over the per-cell move tables, then the halting
     projection.  Returns (unpruned survivors, accepted mass, rejected mass,
     live mass with a non-blank comm cell, each non-halting target's largest
@@ -102,8 +102,7 @@ def _verifier_step(verifier, cells, live, prune, counts):
             if nxt_counts is not None and not verifier.is_halting(q2):
                 gain = 1 if g2 != BLANK else 0
                 nxt_counts[key2] = max(nxt_counts.get(key2, -1), base + gain)
-    survivors = SparseVector(prune_threshold=prune)
-    kept = survivors.amplitudes
+    survivors = SparseVector()
     accepted = rejected = query_mass = 0.0
     for key, a in nxt.items():
         q2 = key[0]
@@ -113,7 +112,7 @@ def _verifier_step(verifier, cells, live, prune, counts):
         elif verifier.is_rejecting(q2):
             rejected += w
         else:
-            kept[key] = a
+            survivors[key] = a
             if key[2] != BLANK:
                 query_mass += w
     return survivors, accepted, rejected, query_mass, nxt_counts
@@ -132,8 +131,7 @@ def run_protocol(verifier, x, prover=None, cfg=None):
     )
     started = time.perf_counter()
 
-    live = SparseVector({(verifier.initial, 0, BLANK, ()): 1.0 + 0j},
-                        prune_threshold=cfg.prune)
+    live = SparseVector({(verifier.initial, 0, BLANK, ()): 1.0 + 0j})
     counts = {(verifier.initial, 0, BLANK, ()): 0} if cfg.count_interactions else None
     p_acc = 0.0
     p_rej = 0.0
@@ -146,10 +144,10 @@ def run_protocol(verifier, x, prover=None, cfg=None):
     for t in range(1, max_steps + 1):
         steps = t
         live, accepted, rejected, query_mass, nxt_counts = _verifier_step(
-            verifier, cells, live, cfg.prune, counts)
+            verifier, cells, live, counts)
         p_acc += accepted
         p_rej += rejected
-        pruned_mass += live.prune()
+        pruned_mass += live.prune(cfg.prune)
         if counts is not None:
             counts = {
                 key: c for key, c in nxt_counts.items() if key in live
@@ -168,15 +166,15 @@ def run_protocol(verifier, x, prover=None, cfg=None):
                 query_mass=query_mass,
             ))
         if t == max_steps:
-            budget_exhausted = bool(live.amplitudes) and verifier.two_way
+            budget_exhausted = bool(live) and verifier.two_way
             break
         if verifier.two_way:
-            if not live.amplitudes:
+            if not live:
                 break
             if p_acc + p_rej >= halt_target:
                 break
         # prover round t
-        nxt = SparseVector(prune_threshold=cfg.prune)
+        nxt = SparseVector()
         nxt_counts = {} if counts is not None else None
         for (q, k, g, y), a in live.items():
             base = counts[(q, k, g, y)] if counts is not None else 0
@@ -189,7 +187,7 @@ def run_protocol(verifier, x, prover=None, cfg=None):
                 nxt.add(key, a * pamp)
                 if nxt_counts is not None:
                     nxt_counts[key] = max(nxt_counts.get(key, -1), base)
-        pruned_mass += nxt.prune()
+        pruned_mass += nxt.prune(cfg.prune)
         live = nxt
         if counts is not None:
             counts = nxt_counts
@@ -243,8 +241,7 @@ def run_mcomp(verifier, x, cfg=None):
     cfg = cfg or EngineConfig()
     cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
     max_steps = len(cells)
-    live = SparseVector({(verifier.initial, 0, BLANK, ()): 1.0 + 0j},
-                        prune_threshold=cfg.prune)
+    live = SparseVector({(verifier.initial, 0, BLANK, ()): 1.0 + 0j})
     masses = [0.0]
     p_acc = 0.0
     p_rej = 0.0
@@ -252,13 +249,12 @@ def run_mcomp(verifier, x, cfg=None):
     records = [] if cfg.record_steps else None
     for t in range(1, max_steps + 1):
         live, accepted, rejected, query_mass, _ = _verifier_step(
-            verifier, cells, live, cfg.prune, None)
+            verifier, cells, live, None)
         p_acc += accepted
         p_rej += rejected
-        live.amplitudes = {
-            key: a for key, a in live.items() if key[2] == BLANK
-        }
-        pruned += live.prune()
+        live = SparseVector(
+            (key, a) for key, a in live.items() if key[2] == BLANK)
+        pruned += live.prune(cfg.prune)
         masses.append(query_mass)
         if records is not None:
             records.append(StepRecord(

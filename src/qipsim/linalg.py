@@ -1,8 +1,10 @@
 """Small complex linear-algebra helpers used by the simulation engine."""
 
 import math
+import numbers
 
 import numpy as np
+import scipy.sparse
 
 from .errors import LinalgError
 
@@ -28,10 +30,22 @@ def fourier_entry(n, j, l):
     return complex(_fourier(products, n)[0])
 
 
+def as_integer(value):
+    """value as an int when it is an integer or an integral float, else
+    None; bools and strings are not integers.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
+
+
 def _dimension(n):
-    if int(n) != n or n < 1:
+    m = as_integer(n)
+    if m is None or m < 1:
         raise LinalgError("invalid dimension for mixing matrix: %r" % (n,))
-    return int(n)
+    return m
 
 
 def _fourier(products, n):
@@ -39,18 +53,26 @@ def _fourier(products, n):
 
 
 def check_unitary(matrix, tau=1e-9):
-    """Return (ok, defect) where defect = max-norm of (U* U - I).
+    """Return (ok, defect) where defect = max |(U* U - I)_ij|.
 
-    Raises LinalgError when the input is not a square matrix.
+    The matrix is a scipy sparse matrix, used as is, or anything numpy
+    reads as a 2-D complex array, which is converted to CSR first; both
+    take the same sparse Gram product.  ok is defect <= tau.  Raises
+    LinalgError when the input is not a square matrix.
     """
-    u = np.asarray(matrix, dtype=complex)
+    sparse = scipy.sparse.issparse(matrix)
+    u = matrix if sparse else np.asarray(matrix, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise LinalgError(
             "invalid dimension: unitarity check needs a square matrix, got shape %r"
             % (u.shape,)
         )
-    gram = u.conj().T @ u
-    defect = float(np.max(np.abs(gram - np.eye(u.shape[0]))))
+    if not sparse:
+        u = scipy.sparse.csr_matrix(u)
+    gram = (u.conj().T @ u).tocoo()
+    eye = scipy.sparse.identity(u.shape[0], dtype=complex, format="coo")
+    diff = (gram - eye).tocoo()
+    defect = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
     return defect <= tau, defect
 
 
@@ -62,117 +84,35 @@ def ensure_finite(amplitude, context="amplitude"):
     return z
 
 
-class SparseVector:
-    """Sparse complex vector keyed by arbitrary hashable basis labels.
-
-    Amplitudes with magnitude <= prune_threshold are dropped by prune().
+class SparseVector(dict):
+    """Sparse complex vector: a dict from hashable basis labels to their
+    amplitudes.  A missing label reads as 0j.
     """
 
-    def __init__(self, amplitudes=None, prune_threshold=0.0):
-        self.amplitudes = dict(amplitudes) if amplitudes else {}
-        self.prune_threshold = float(prune_threshold)
-
-    def __getitem__(self, label):
-        return self.amplitudes.get(label, 0j)
-
-    def __len__(self):
-        return len(self.amplitudes)
-
-    def __contains__(self, label):
-        return label in self.amplitudes
-
-    def items(self):
-        return self.amplitudes.items()
-
-    def labels(self):
-        return self.amplitudes.keys()
+    def __missing__(self, label):
+        return 0j
 
     def add(self, label, amplitude):
-        """Accumulate an amplitude onto a basis label."""
-        z = self.amplitudes.get(label, 0j) + amplitude
+        """Accumulate an amplitude onto a basis label; a label whose sum
+        cancels to exactly 0 is dropped.
+        """
+        z = self.get(label, 0j) + amplitude
         if z == 0j:
-            self.amplitudes.pop(label, None)
+            self.pop(label, None)
         else:
-            self.amplitudes[label] = z
+            self[label] = z
         return self
 
-    def prune(self):
-        """Drop components with magnitude at or below the threshold.
-
-        Returns the squared norm of the dropped components.
+    def prune(self, threshold):
+        """Drop components with magnitude at or below threshold (none when
+        threshold <= 0).  Returns the squared norm of the dropped ones.
         """
-        t = self.prune_threshold
-        if t <= 0.0:
+        if threshold <= 0.0:
             return 0.0
-        dropped = [v for v in self.amplitudes.values() if abs(v) <= t]
-        if dropped:
-            self.amplitudes = {
-                k: v for k, v in self.amplitudes.items() if abs(v) > t
-            }
-        return float(sum((v * v.conjugate()).real for v in dropped))
+        dropped = [(k, v) for k, v in self.items() if abs(v) <= threshold]
+        for k, _ in dropped:
+            del self[k]
+        return float(sum((v * v.conjugate()).real for _, v in dropped))
 
     def norm_sq(self):
-        return float(sum((v * v.conjugate()).real for v in self.amplitudes.values()))
-
-    def norm(self):
-        return math.sqrt(self.norm_sq())
-
-    def scaled(self, factor):
-        return SparseVector(
-            {k: v * factor for k, v in self.amplitudes.items()},
-            self.prune_threshold,
-        )
-
-    def copy(self):
-        return SparseVector(self.amplitudes, self.prune_threshold)
-
-    def __repr__(self):
-        parts = ", ".join(
-            "%r: %s" % (k, format_amplitude(v)) for k, v in sorted(
-                self.amplitudes.items(), key=lambda kv: repr(kv[0])
-            )
-        )
-        return "SparseVector({%s})" % parts
-
-
-def format_amplitude(z):
-    """Readable fixed-precision rendering of a complex amplitude."""
-    z = complex(z)
-    if abs(z.imag) < 1e-15:
-        return "%+.6f" % z.real
-    return "%+.6f%+.6fi" % (z.real, z.imag)
-
-
-def vec_apply(matrix, vector, labels):
-    """Apply a dense square matrix to the block of `vector` spanned by `labels`.
-
-    Labels must be distinct and match the matrix dimension.  Amplitudes on
-    labels absent from the vector are treated as zero; components outside
-    the block pass through unchanged.  Returns a new SparseVector.
-    """
-    u = np.asarray(matrix, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise LinalgError(
-            "invalid dimension: block apply needs a square matrix, got shape %r"
-            % (u.shape,)
-        )
-    labels = list(labels)
-    if len(labels) != u.shape[0]:
-        raise LinalgError(
-            "label count %d does not match matrix dimension %d"
-            % (len(labels), u.shape[0])
-        )
-    if len(set(labels)) != len(labels):
-        raise LinalgError("duplicate basis labels in block apply")
-    out = SparseVector(prune_threshold=vector.prune_threshold)
-    label_set = set(labels)
-    for k, v in vector.items():
-        if k not in label_set:
-            out.add(k, v)
-    block = np.array([vector[lab] for lab in labels], dtype=complex)
-    image = u @ block
-    for lab, amp in zip(labels, image):
-        if amp != 0j:
-            out.add(lab, complex(amp))
-    out.prune()
-    return out
+        return float(sum((v * v.conjugate()).real for v in self.values()))

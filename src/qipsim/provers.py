@@ -48,14 +48,13 @@ class HistoryResponder(Prover):
     the tape untouched.
     """
 
-    def __init__(self, reply, prover_id="responder", record=True):
+    def __init__(self, reply, prover_id="responder"):
         self.reply = reply
         self.prover_id = prover_id
-        self.record = record
 
     def apply(self, round_index, comm, tape):
         out_comm = self.reply(round_index, comm)
-        if self.record and comm != BLANK:
+        if comm != BLANK:
             tape = tape + ((round_index, comm),)
         return [(1.0, out_comm, tape)]
 
@@ -75,7 +74,7 @@ class MessageSchedule(HistoryResponder):
                 "%d:%s" % (t, s) for t, s in sorted(self.writes.items())
             )
             prover_id = "schedule{%s}" % parts
-        super().__init__(self._reply, prover_id=prover_id, record=True)
+        super().__init__(self._reply, prover_id=prover_id)
 
     def _reply(self, round_index, comm):
         return self.writes.get(round_index, comm)

@@ -31,7 +31,7 @@ from .automata import (
     complete_verifier, resolve_dir,
 )
 from .errors import ParseError
-from .linalg import fourier_entry
+from .linalg import as_integer, fourier_entry
 from .provers import IdentityProver, MessageSchedule
 from .zoo import BUNDLES, ProtocolBundle, make_bundle
 
@@ -74,11 +74,11 @@ def evaluate_amplitude(form, where="amplitude"):
             n, j, l = spec
         else:
             _fail(where, "fourier form needs {n, j, l} or [n, j, l]")
-        try:
-            n, j, l = int(n), int(j), int(l)
-        except (TypeError, ValueError, OverflowError):
+        orders = [as_integer(v) for v in (n, j, l)]
+        if None in orders:
             _fail(where, "fourier form needs integers n, j, l, got %r"
                   % (spec,))
+        n, j, l = orders
         if n <= 0:
             _fail(where, "fourier order must be positive, got %d" % n)
         return fourier_entry(n, j, l)
@@ -86,10 +86,10 @@ def evaluate_amplitude(form, where="amplitude"):
         spec = form["invsqrt"]
         if isinstance(spec, dict):
             spec = spec.get("n", spec.get("N"))
-        try:
-            n = int(spec)
-        except (TypeError, ValueError, OverflowError):
-            _fail(where, "invsqrt form needs an integer order")
+        n = as_integer(spec)
+        if n is None:
+            _fail(where, "invsqrt form needs an integer order, got %r"
+                  % (spec,))
         if n <= 0:
             _fail(where, "invsqrt order must be positive, got %d" % n)
         return complex(1.0 / math.sqrt(n), 0.0)

@@ -16,7 +16,7 @@ from .automata import (
     validate_1rfa_reversible, validate_2npfa_normalized,
 )
 from .errors import ValidationError
-from .linalg import make_qft
+from .linalg import as_integer, make_qft
 from .provers import HistoryResponder, IdentityProver, MessageSchedule
 
 
@@ -28,7 +28,6 @@ class ProtocolBundle:
     honest_prover: object       # callable str -> Prover
     claims: dict = field(default_factory=dict)
     adversary_family: object = None   # callable str -> [Prover], or None
-    params: dict = field(default_factory=dict)
     check_inputs: tuple = ("", "0", "1", "01", "10", "110")
 
 
@@ -198,7 +197,6 @@ def rfa_embedding(machine, name=None):
             "classical_honest": True, "committed_honest": True,
             "interaction_bound": None, "one_way": True,
         },
-        params={"machine": machine.name},
     )
 
 
@@ -324,7 +322,6 @@ def npfa_embedding(machine, name=None, chooser=None):
             "classical_honest": True, "committed_honest": True,
             "interaction_bound": None, "one_way": False,
         },
-        params={"machine": machine.name},
     )
 
 
@@ -418,6 +415,14 @@ def last_option_chooser(machine):
     return choose
 
 
+def _branch_count(branches):
+    n_b = as_integer(branches)
+    if n_b is None or n_b < 2:
+        raise ValidationError("need at least two interference branches, "
+                              "given as an integer; got %r" % (branches,))
+    return n_b
+
+
 # -- centered-mark interference protocol ---------------------------------------
 
 MARK = "1"
@@ -436,9 +441,7 @@ def center_protocol(branches=2):
     certainty.  Off-center marks make the branch arrivals pairwise
     distinct and at most 1/N of the mass accepts.
     """
-    n_b = int(branches)
-    if n_b < 2:
-        raise ValidationError("need at least two interference branches")
+    n_b = _branch_count(branches)
     js = list(range(1, n_b + 1))
     root = 1.0 / math.sqrt(n_b)
     mix = make_qft(n_b)
@@ -553,7 +556,6 @@ def center_protocol(branches=2):
             "one_way": False,
         },
         adversary_family=adversaries,
-        params={"branches": n_b},
     )
 
 
@@ -571,9 +573,7 @@ def equal_blocks_protocol(branches=2):
     most 1/N of the mass accepting.  Every row announces its target, so
     any comm tampering rejects immediately.
     """
-    n_b = int(branches)
-    if n_b < 2:
-        raise ValidationError("need at least two interference branches")
+    n_b = _branch_count(branches)
     js = list(range(1, n_b + 1))
     root = 1.0 / math.sqrt(n_b)
     mix = make_qft(n_b)
@@ -694,7 +694,6 @@ def equal_blocks_protocol(branches=2):
             "one_way": False,
         },
         adversary_family=adversaries,
-        params={"branches": n_b},
     )
 
 
@@ -706,19 +705,46 @@ def _make_rfa(preset=None, machine=None):
     if preset == "mod3":
         return rfa_embedding(mod3_rfa(), name="rfa_mod3")
     if isinstance(machine, dict):
-        spec = OneRfaSpec(
-            name=machine.get("name", "custom"),
-            input_alphabet=tuple(machine["input_alphabet"]),
-            non_halting=tuple(machine["non_halting"]),
-            accepting=tuple(machine["accepting"]),
-            rejecting=tuple(machine["rejecting"]),
-            initial=machine["initial"],
-            delta={(q, s): t for q, s, t in machine["delta"]},
-        )
-        return rfa_embedding(spec)
+        return rfa_embedding(_rfa_machine(machine))
     raise ValidationError(
         "rfa bundle needs preset 'parity'/'mod3' or an inline machine table"
     )
+
+
+def _is_strings(value):
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(v, str) for v in value)
+
+
+# (key, what it must be, check) for the keys of an inline rfa machine.
+_MACHINE_KEYS = (
+    ("name", "a string", lambda v: isinstance(v, str)),
+    ("input_alphabet", "a list of strings", _is_strings),
+    ("non_halting", "a list of strings", _is_strings),
+    ("accepting", "a list of strings", _is_strings),
+    ("rejecting", "a list of strings", _is_strings),
+    ("initial", "a string", lambda v: isinstance(v, str)),
+    ("delta", "a list of [state, symbol, state] string triples",
+     lambda v: isinstance(v, (list, tuple)) and all(
+         _is_strings(e) and len(e) == 3 for e in v)),
+)
+
+
+def _rfa_machine(machine):
+    """The OneRfaSpec an inline machine table describes.  Every key but
+    name (default "custom") is required; a missing or ill-typed key
+    raises ValidationError.
+    """
+    table = {"name": "custom", **machine}
+    for key, what, ok in _MACHINE_KEYS:
+        if key not in table:
+            raise ValidationError("inline rfa machine has no %r" % key)
+        if not ok(table[key]):
+            raise ValidationError("inline rfa machine %r must be %s, got %r"
+                                  % (key, what, table[key]))
+    spec = {key: table[key] for key, _, _ in _MACHINE_KEYS}
+    spec["delta"] = {(q, s): t for q, s, t in spec["delta"]}
+    return OneRfaSpec(**spec)
 
 
 def _make_npfa(preset=None):

@@ -77,7 +77,8 @@ def test_complete_verifier_row_classes():
 
 def test_step_operator_is_unitary_dense():
     v = tiny_accept_all()
-    mat, labels = build_step_operator(v, "01", dense=True)
+    mat, labels = build_step_operator(v, "01")
+    mat = mat.toarray()
     assert len(labels) == mat.shape[0]
     ok, defect = check_unitary(mat)
     assert ok

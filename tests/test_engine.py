@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qipsim import engine
 from qipsim.automata import (
@@ -25,10 +26,12 @@ from qipsim.engine import (
     sweep_family,
 )
 from qipsim.errors import EngineError, FamilyInadequacyError, ValidationError
-from qipsim.provers import ExplicitRoundProver, IdentityProver, MessageSchedule
+from qipsim.provers import (
+    ExplicitRoundProver, IdentityProver, MessageSchedule, enumerate_schedules,
+)
 from qipsim.specfile import parse_spec, serialize_spec, verifier_document
 from qipsim.zoo import make_bundle
-from strategies import core_tables
+from strategies import announced_tables, core_tables
 
 SHORT_INPUTS = ["".join(w) for n in range(3)
                 for w in itertools.product("01", repeat=n)]
@@ -166,13 +169,27 @@ def test_schedule_dp_matches_enumeration_on_random_tables(kwargs):
                                                         abs=1e-12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(announced_tables(), st.integers(2, 5), st.sampled_from(SHORT_INPUTS))
+def test_announced_dominance_matches_schedule_enumeration(kwargs, max_steps,
+                                                          x):
+    v = complete_verifier(**kwargs)
+    cfg = EngineConfig(max_steps=max_steps)
+    sweep = best_schedule_acceptance(v, x, cfg)
+    brute = max(
+        run_protocol(v, x, schedule, cfg).acceptance_bounds[1]
+        for schedule in enumerate_schedules(v.comm_alphabet, max_steps - 1))
+    assert sweep.best_p == pytest.approx(brute, abs=1e-9)
+
+
 @settings(max_examples=40, deadline=None)
 @given(core_tables())
 def test_engine_steps_follow_the_step_operator(kwargs):
     v = complete_verifier(**kwargs)
     cfg = EngineConfig(prune=0.0, record_steps=True, max_steps=6)
     for x in SHORT_INPUTS:
-        mat, basis = build_step_operator(v, x, dense=True)
+        mat, basis = build_step_operator(v, x)
+        mat = mat.toarray()
         index = {label: i for i, label in enumerate(basis)}
         accepting = np.array([v.is_accepting(q) for q, _, _ in basis])
         halting = np.array([v.is_halting(q) for q, _, _ in basis])

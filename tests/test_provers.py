@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from qipsim.automata import BLANK
+from qipsim.automata import BLANK, LEFT_END, complete_verifier
+from qipsim.engine import EngineConfig, run_protocol
 from qipsim.errors import BudgetError, ValidationError
 from qipsim.provers import (
     ExplicitRoundProver,
@@ -32,10 +33,20 @@ def test_history_responder_records_nonblank_only():
     assert tape == ((2, "m"),)
 
 
-def test_history_responder_record_flag_off():
-    p = HistoryResponder(lambda t, g: g, record=False)
-    _, out, tape = p.apply(5, "m", ())[0]
-    assert (out, tape) == ("m", ())
+def test_erasing_responder_conserves_superposed_comm_mass():
+    # q0 writes # and a in superposition; erasing both would merge the two
+    # components onto one basis label unless the observation is recorded.
+    s = 1.0 / math.sqrt(2.0)
+    v = complete_verifier(
+        name="split", input_alphabet=("0",), comm_alphabet=(BLANK, "a"),
+        non_halting=("q0", "q1"), accepting=("acc",), rejecting=("rej",),
+        initial="q0", two_way=False, head_dir={},
+        core_rows={LEFT_END: {
+            ("q0", BLANK): ((s, "q1", BLANK), (s, "q1", "a"))}},
+    )
+    eraser = HistoryResponder(lambda t, g: BLANK, prover_id="eraser")
+    r = run_protocol(v, "0", eraser, EngineConfig(check_conservation=True))
+    assert r.p_acc + r.p_rej + r.residual + r.pruned == pytest.approx(1.0)
 
 
 def test_message_schedule_id_and_writes():

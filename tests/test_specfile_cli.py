@@ -19,7 +19,7 @@ from qipsim.specfile import (
     serialize_spec,
     verifier_document,
 )
-from qipsim.zoo import make_bundle
+from qipsim.zoo import make_bundle, parity_rfa
 from strategies import core_tables
 
 SHIPPED = [
@@ -74,20 +74,47 @@ def test_fourier_form_is_the_make_qft_entry(n):
             assert evaluate_amplitude({"fourier": [n, j + n, l - n]}) == form
 
 
+def _run_toy_with_amplitude(form, tmp_path):
+    doc = json.loads(serialize_spec(resolve_spec("toy_explicit").document))
+    doc["rows"]["0"][0]["targets"][0][0] = form
+    path = tmp_path / "bad_amplitude.spec"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return main(["run", str(path), "--input", "0"])
+
+
 @pytest.mark.parametrize("form", [
     {"fourier": ["a", 1, 1]},
     {"fourier": {"n": None, "j": 1, "l": 1}},
+    {"fourier": {"n": 4.7, "j": 1, "l": 1}},
+    {"fourier": {"n": 4, "j": 1.5, "l": 1}},
+    {"fourier": {"n": 4, "j": 1, "l": True}},
+    {"fourier": ["4", 1, 1]},
+    {"fourier": [float("inf"), 1, 1]},
 ])
 def test_fourier_form_with_a_non_integer_is_a_parse_error(form, tmp_path,
                                                            capsys):
     with pytest.raises(ParseError, match="integers"):
         evaluate_amplitude(form)
-    doc = json.loads(serialize_spec(resolve_spec("toy_explicit").document))
-    doc["rows"]["0"][0]["targets"][0][0] = form
-    path = tmp_path / "bad_fourier.spec"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["run", str(path), "--input", "0"]) == 2
+    assert _run_toy_with_amplitude(form, tmp_path) == 2
     assert "integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [2.5, True, "3", None, float("inf")])
+def test_invsqrt_order_that_is_not_an_integer_is_a_parse_error(order,
+                                                               tmp_path,
+                                                               capsys):
+    form = {"invsqrt": order}
+    with pytest.raises(ParseError, match="integer order"):
+        evaluate_amplitude(form)
+    assert _run_toy_with_amplitude(form, tmp_path) == 2
+    assert "integer order" in capsys.readouterr().err
+
+
+def test_integral_float_orders_are_integers():
+    assert evaluate_amplitude({"invsqrt": 2.0}) == evaluate_amplitude(
+        {"invsqrt": 2})
+    assert evaluate_amplitude({"fourier": [4.0, 1.0, 3.0]}) == (
+        evaluate_amplitude({"fourier": [4, 1, 3]}))
 
 
 def test_parse_spec_reports_json_position():
@@ -414,6 +441,64 @@ def test_spec_file_params_the_bundle_does_not_read_are_refused(tmp_path,
         "npfa", {"preset": "coin", "machine": "coin"})), encoding="utf-8")
     assert main(["check", str(path)]) == 3
     assert "does not read params ['machine']" in capsys.readouterr().err
+
+
+def _parity_machine_document(**changes):
+    machine = parity_rfa()
+    doc = {
+        "input_alphabet": list(machine.input_alphabet),
+        "non_halting": list(machine.non_halting),
+        "accepting": list(machine.accepting),
+        "rejecting": list(machine.rejecting),
+        "initial": machine.initial,
+        "delta": [[q, s, t] for (q, s), t in machine.delta.items()],
+    }
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+BRANCHES = "need at least two interference branches, given as an integer"
+
+
+@pytest.mark.parametrize("bundle,params,message", [
+    ("center", {"branches": None}, BRANCHES),
+    ("center", {"branches": "3"}, BRANCHES),
+    ("center", {"branches": 1}, BRANCHES),
+    ("center", {"branches": 2.7}, BRANCHES),
+    ("equal_blocks", {"branches": True}, BRANCHES),
+    ("rfa", {"machine": _parity_machine_document(input_alphabet=None)},
+     "has no 'input_alphabet'"),
+    ("rfa", {"machine": _parity_machine_document(initial=["e"])},
+     "'initial' must be a string"),
+    ("rfa", {"machine": _parity_machine_document(accepting="acc")},
+     "'accepting' must be a list of strings"),
+    ("rfa", {"machine": _parity_machine_document(delta=[["e", "0"]])},
+     "'delta' must be a list of [state, symbol, state] string triples"),
+    ("rfa", {"machine": _parity_machine_document(name=7)},
+     "'name' must be a string"),
+], ids=["branches-null", "branches-string", "branches-one", "branches-float",
+        "branches-bool", "machine-no-alphabet", "machine-initial-list",
+        "machine-accepting-string", "machine-delta-pair", "machine-name-int"])
+def test_ill_typed_bundle_params_are_validation_errors(bundle, params,
+                                                       message, tmp_path,
+                                                       capsys):
+    path = tmp_path / "bad_params.spec"
+    path.write_text(serialize_spec(bundle_document(bundle, params)),
+                    encoding="utf-8")
+    assert main(["run", str(path), "--input", "0"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_integral_float_branches_and_inline_machines_build(tmp_path, capsys):
+    for bundle, params in (
+            ("center", {"branches": 3.0}),
+            ("rfa", {"machine": _parity_machine_document()})):
+        path = tmp_path / "good_params.spec"
+        path.write_text(serialize_spec(bundle_document(bundle, params)),
+                        encoding="utf-8")
+        assert main(["run", str(path), "--input", "0"]) == 0
+    assert make_bundle("center", {"branches": 3.0}).claims == make_bundle(
+        "center", {"branches": 3}).claims
 
 
 def test_cli_unknown_subcommand_is_a_usage_error():
