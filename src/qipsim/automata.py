@@ -18,7 +18,9 @@ Tables are assembled from three row classes:
   amplitude is measured out before the next step.
 """
 
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -65,6 +67,33 @@ class MoveTable(dict):
         )
 
 
+class CompiledMoves(NamedTuple):
+    """One padded symbol's moves as read-only COO arrays over the pair
+    index q_index * |comm| + g_index (states x comm_alphabet order): entry
+    i sends source pair src[i] to target pair dst[i] with amplitude amp[i]
+    and head direction dirs[i].  Entries follow the rows' order.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    dirs: np.ndarray
+    amp: np.ndarray
+
+
+def _compile_moves(table, pair_index):
+    entries = [
+        (pair_index[key], pair_index[q2, g2], d, amp)
+        for key, targets in table.items()
+        for amp, q2, g2, d in targets
+    ]
+    columns = zip(*entries) if entries else ((), (), (), ())
+    arrays = [np.array(col, dtype=dtype) for col, dtype
+              in zip(columns, (np.int64, np.int64, np.int64, complex))]
+    for a in arrays:
+        a.setflags(write=False)
+    return CompiledMoves(*arrays)
+
+
 class VerifierSpec:
     """Complete unitary verifier description.
 
@@ -73,10 +102,13 @@ class VerifierSpec:
     row_class: {symbol: {(state, comm): "core"|"guard"|"completion"}}
     moves: {padded symbol: MoveTable}, the rows with each target's head
     direction attached; every verifier step reads these.
+    compiled: {padded symbol: CompiledMoves}, the move tables as index
+    arrays; the step operator and the per-symbol unitarity check read
+    these.
     analyses: input-independent results computed once per verifier by
     the engine (announcement map, schedule adequacy).  The tables, the
-    move tables included, are built once in __init__ and never mutated
-    afterwards, so all of these stay valid.
+    move tables and their compiled arrays included, are built once in
+    __init__ and never mutated afterwards, so all of these stay valid.
     """
 
     def __init__(self, name, input_alphabet, comm_alphabet, non_halting,
@@ -107,6 +139,14 @@ class VerifierSpec:
                 for key, targets in self.rows.get(sym, {}).items()
             })
             for sym in self.padded_alphabet
+        }
+        pair_index = {
+            pair: i for i, pair in enumerate(
+                (q, g) for q in self.states for g in self.comm_alphabet)
+        }
+        self.compiled = {
+            sym: _compile_moves(table, pair_index)
+            for sym, table in self.moves.items()
         }
 
     # -- structure -----------------------------------------------------
@@ -430,33 +470,45 @@ def _complete_symbol(table, classes, all_states, comm_alphabet,
 def step_basis(verifier, x):
     """Ordered (state, head, comm) basis labels for one verifier step."""
     tape = padded_input(x, verifier.input_alphabet)
-    return [
-        (q, k, g)
-        for q in verifier.states
-        for k in range(len(tape))
-        for g in verifier.comm_alphabet
-    ]
+    return list(itertools.product(verifier.states, range(len(tape)),
+                                  verifier.comm_alphabet))
 
 
 def build_step_operator(verifier, x):
     """The verifier-step unitary on (state, head, comm) for input x.
 
-    Returns (matrix, basis) with the matrix in CSR form.
+    Returns (matrix, basis) with the matrix in CSR form.  Each symbol's
+    compiled arrays are tiled over the tape positions that carry it.
+    Raises the move table's ValidationError when the tape scans a symbol
+    with a missing row.
     """
     tape = padded_input(x, verifier.input_alphabet)
     length = len(tape)
-    cells = [verifier.moves[s] for s in tape]
+    width = len(verifier.comm_alphabet)
+    n_pairs = len(verifier.states) * width
     basis = step_basis(verifier, x)
-    index = {lab: i for i, lab in enumerate(basis)}
-    data, rows_ix, cols_ix = [], [], []
-    for (q, k, g) in basis:
-        col = index[(q, k, g)]
-        for amp, q2, g2, d in cells[k][q, g]:
-            rows_ix.append(index[(q2, (k + d) % length, g2)])
-            cols_ix.append(col)
-            data.append(complex(amp))
+    if any(len(verifier.moves[s]) != n_pairs for s in tape):
+        for q, k, g in basis:
+            verifier.moves[tape[k]][q, g]  # raises at the first missing row
+    cols, rows_ix, data = [], [], []
+    for sym in dict.fromkeys(tape):
+        c = verifier.compiled[sym]
+        ks = np.array([k for k, s in enumerate(tape) if s == sym])[:, None]
+        sq, sg = np.divmod(c.src, width)
+        dq, dg = np.divmod(c.dst, width)
+        cols.append(((sq * length + ks) * width + sg).ravel())
+        rows_ix.append(((dq * length + (ks + c.dirs) % length) * width
+                        + dg).ravel())
+        data.append(np.tile(c.amp, len(ks)))
+    # entries reach scipy in basis-loop order (by column, each row's
+    # targets in row order), so a target a row lists twice is summed in
+    # the same order, bit for bit, as by a loop over the basis
+    col = np.concatenate(cols)
+    order = np.argsort(col, kind="stable")
     mat = scipy.sparse.csr_matrix(
-        (data, (rows_ix, cols_ix)), shape=(len(basis), len(basis)), dtype=complex
+        (np.concatenate(data)[order],
+         (np.concatenate(rows_ix)[order], col[order])),
+        shape=(len(basis), len(basis)), dtype=complex,
     )
     return mat, basis
 
@@ -488,32 +540,24 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
     head arithmetic used here.  `inputs` optionally lists strings whose
     step operators are checked exhaustively as well.  Each defect is
     linalg.check_unitary's on the sparse matrix; a symbol with a missing
-    row has defect inf.  ok is every defect <= tau.
+    row has defect inf, and so has every input whose tape scans it (its
+    step operator is not built).  ok is every defect <= tau.
     """
     per_symbol = {}
-    pairs = [
-        (q, g) for q in verifier.states for g in verifier.comm_alphabet
-    ]
-    index = {p: i for i, p in enumerate(pairs)}
-    for sym in verifier.padded_alphabet:
-        table = verifier.rows.get(sym, {})
-        data, rows_ix, cols_ix = [], [], []
-        for (q, g), targets in table.items():
-            col = index[(q, g)]
-            for amp, q2, g2 in targets:
-                rows_ix.append(index[(q2, g2)])
-                cols_ix.append(col)
-                data.append(complex(amp))
-        mat = scipy.sparse.csr_matrix(
-            (data, (rows_ix, cols_ix)), shape=(len(pairs), len(pairs)),
-            dtype=complex,
-        )
-        if len(table) != len(pairs):
+    n_pairs = len(verifier.states) * len(verifier.comm_alphabet)
+    for sym, c in verifier.compiled.items():
+        if len(verifier.moves[sym]) != n_pairs:
             per_symbol[sym] = float("inf")
             continue
+        mat = scipy.sparse.csr_matrix(
+            (c.amp, (c.dst, c.src)), shape=(n_pairs, n_pairs), dtype=complex)
         _, per_symbol[sym] = check_unitary(mat)
     per_input = {}
     for x in (inputs or ()):
+        tape = padded_input(x, verifier.input_alphabet)
+        if any(per_symbol[s] == float("inf") for s in tape):
+            per_input[x] = float("inf")
+            continue
         mat, _ = build_step_operator(verifier, x)
         _, per_input[x] = check_unitary(mat)
     defects = list(per_symbol.values()) + list(per_input.values())

@@ -57,8 +57,10 @@ def check_unitary(matrix, tau=1e-9):
 
     The matrix is a scipy sparse matrix, used as is, or anything numpy
     reads as a 2-D complex array, which is converted to CSR first; both
-    take the same sparse Gram product.  ok is defect <= tau.  Raises
-    LinalgError when the input is not a square matrix.
+    take the same sparse Gram product.  The defect is read off the Gram
+    matrix's stored entries, 1 subtracted on the diagonal; a diagonal
+    entry it does not store counts as defect 1.  ok is defect <= tau.
+    Raises LinalgError when the input is not a square matrix.
     """
     sparse = scipy.sparse.issparse(matrix)
     u = matrix if sparse else np.asarray(matrix, dtype=complex)
@@ -69,10 +71,14 @@ def check_unitary(matrix, tau=1e-9):
         )
     if not sparse:
         u = scipy.sparse.csr_matrix(u)
-    gram = (u.conj().T @ u).tocoo()
-    eye = scipy.sparse.identity(u.shape[0], dtype=complex, format="coo")
-    diff = (gram - eye).tocoo()
-    defect = float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+    # a CSR u gives a CSC Gram matrix, so tocsc() is free on that path
+    gram = (u.conj().T @ u).tocsc()
+    columns = np.repeat(np.arange(gram.shape[1]), np.diff(gram.indptr))
+    on_diagonal = gram.indices == columns
+    deviations = np.abs(gram.data - on_diagonal)
+    defect = float(np.max(deviations)) if deviations.size else 0.0
+    if np.count_nonzero(on_diagonal) < gram.shape[0]:
+        defect = max(defect, 1.0)
     return defect <= tau, defect
 
 

@@ -732,8 +732,8 @@ _MACHINE_KEYS = (
 
 def _rfa_machine(machine):
     """The OneRfaSpec an inline machine table describes.  Every key but
-    name (default "custom") is required; a missing or ill-typed key
-    raises ValidationError.
+    name (default "custom") is required; a missing or ill-typed key, or
+    a (state, symbol) that delta lists twice, raises ValidationError.
     """
     table = {"name": "custom", **machine}
     for key, what, ok in _MACHINE_KEYS:
@@ -743,7 +743,13 @@ def _rfa_machine(machine):
             raise ValidationError("inline rfa machine %r must be %s, got %r"
                                   % (key, what, table[key]))
     spec = {key: table[key] for key, _, _ in _MACHINE_KEYS}
-    spec["delta"] = {(q, s): t for q, s, t in spec["delta"]}
+    delta = {}
+    for q, s, t in spec["delta"]:
+        if (q, s) in delta:
+            raise ValidationError(
+                "inline rfa machine 'delta' lists (%r, %r) twice" % (q, s))
+        delta[q, s] = t
+    spec["delta"] = delta
     return OneRfaSpec(**spec)
 
 

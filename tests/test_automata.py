@@ -2,10 +2,13 @@
 
 import itertools
 
+import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qipsim import automata
 from qipsim.automata import (
     BLANK,
     CORE,
@@ -122,7 +125,7 @@ def test_wellformed_flags_norm_violation():
     assert report.worst > 1e-9
 
 
-def test_wellformed_missing_row_reports_infinite_defect():
+def test_wellformed_missing_row_reports_infinite_defect(monkeypatch):
     v = VerifierSpec(
         name="gappy", input_alphabet=("0",), comm_alphabet=(BLANK,),
         non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
@@ -131,6 +134,14 @@ def test_wellformed_missing_row_reports_infinite_defect():
     report = validate_wellformed(v)
     assert not report.ok
     assert report.worst == float("inf")
+    # an input whose tape scans an incomplete table is inf as well, and
+    # its step operator is not built
+    built = []
+    monkeypatch.setattr(automata, "build_step_operator",
+                        lambda *args: built.append(args))
+    report = validate_wellformed(v, inputs=["", "0"])
+    assert report.per_input == {"": float("inf"), "0": float("inf")}
+    assert built == []
 
 
 def test_move_tables_attach_head_directions():
@@ -148,6 +159,12 @@ def test_move_tables_attach_head_directions():
     assert set(v.moves) == set(v.padded_alphabet)
     assert v.moves["0"]["q0", BLANK] == ((1.0, "q0", BLANK, -1),)
     assert v.moves[RIGHT_END]["q0", BLANK] == ((1.0, "acc", BLANK, 0),)
+    # entries follow the rows, the core row first; its pairs (q0, #) and
+    # (acc, #) have indices 0 and 1, since states are (q0, acc, ...)
+    compiled = v.compiled[RIGHT_END]
+    assert [a[0] for a in compiled] == [0, 1, 0, 1.0]
+    assert len(compiled.src) == len(v.states)
+    assert not any(a.flags.writeable for a in compiled)
     gappy = VerifierSpec(
         name="gappy", input_alphabet=("0",), comm_alphabet=(BLANK,),
         non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
@@ -263,6 +280,68 @@ def test_per_symbol_unitarity_decides_step_unitarity(kwargs, data):
         assert (defect > bad.tau) == (s == sym)
     for x, defect in bad.per_input.items():
         assert (defect > bad.tau) == (sym in padded_input(x))
+
+
+def _reference_step_operator(verifier, x):
+    """(matrix, basis) built by a loop over the basis, one row lookup per
+    (state, head, comm) label: the reference for the tiled build.
+    """
+    tape = padded_input(x, verifier.input_alphabet)
+    basis = [(q, k, g) for q in verifier.states for k in range(len(tape))
+             for g in verifier.comm_alphabet]
+    index = {lab: i for i, lab in enumerate(basis)}
+    data, rows_ix, cols_ix = [], [], []
+    for (q, k, g) in basis:
+        for amp, q2, g2, d in verifier.moves[tape[k]][q, g]:
+            rows_ix.append(index[(q2, (k + d) % len(tape), g2)])
+            cols_ix.append(index[(q, k, g)])
+            data.append(complex(amp))
+    mat = scipy.sparse.csr_matrix(
+        (data, (rows_ix, cols_ix)), shape=(len(basis), len(basis)),
+        dtype=complex,
+    )
+    return mat, basis
+
+
+def _same_csr(a, b):
+    return (a.shape == b.shape
+            and all(np.array_equal(getattr(a, name), getattr(b, name))
+                    and getattr(a, name).dtype == getattr(b, name).dtype
+                    for name in ("indptr", "indices", "data")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(core_tables(), st.data())
+def test_tiled_step_operator_matches_the_basis_loop(kwargs, data):
+    v = complete_verifier(**kwargs)
+    inputs = ["".join(w) for n in range(3)
+              for w in itertools.product("01", repeat=n)]
+    for x in inputs:
+        mat, basis = build_step_operator(v, x)
+        want, want_basis = _reference_step_operator(v, x)
+        assert basis == want_basis
+        assert _same_csr(mat, want)
+    # one row deleted: both builds refuse with the same missing row
+    sym = data.draw(st.sampled_from(v.padded_alphabet))
+    key = data.draw(st.sampled_from(sorted(v.rows[sym])))
+    rows = {s: dict(table) for s, table in v.rows.items()}
+    del rows[sym][key]
+    gappy = VerifierSpec(
+        name="gappy", input_alphabet=v.input_alphabet,
+        comm_alphabet=v.comm_alphabet, non_halting=v.non_halting,
+        accepting=v.accepting, rejecting=v.rejecting, initial=v.initial,
+        two_way=v.two_way, rows=rows, head_dir=v.head_dir,
+    )
+    for x in inputs:
+        if sym not in padded_input(x):
+            assert _same_csr(build_step_operator(gappy, x)[0],
+                             _reference_step_operator(gappy, x)[0])
+            continue
+        with pytest.raises(ValidationError) as want:
+            _reference_step_operator(gappy, x)
+        with pytest.raises(ValidationError, match="incomplete table") as got:
+            build_step_operator(gappy, x)
+        assert str(got.value) == str(want.value)
 
 
 def parity_machine():

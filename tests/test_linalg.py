@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qipsim.errors import LinalgError
 from qipsim.linalg import (
@@ -54,6 +56,44 @@ def test_check_unitary_flags_nonunitary():
 def test_check_unitary_rejects_nonsquare():
     with pytest.raises(LinalgError):
         check_unitary([[1, 0, 0], [0, 1, 0]])
+
+
+# Entries whose products and sums are exact in floating point, so every
+# summation order gives the same Gram matrix.
+DYADIC = (0, 1, -1, 0.5, -0.5, 1j, -1j, 0.5j, 2, 1 + 1j)
+
+
+@st.composite
+def small_matrices(draw):
+    """Square matrices of size 1-4: signed phase permutations (unitary)
+    or dyadic entries, with a column zeroed at times."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        u = np.zeros((n, n), dtype=complex)
+        for col, row in enumerate(draw(st.permutations(range(n)))):
+            u[row, col] = draw(st.sampled_from((1, -1, 1j, -1j)))
+    else:
+        u = np.array(draw(st.lists(st.sampled_from(DYADIC), min_size=n * n,
+                                   max_size=n * n)),
+                     dtype=complex).reshape(n, n)
+    if draw(st.booleans()):
+        u[:, draw(st.integers(0, n - 1))] = 0
+    return u
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.sampled_from(("dense", "csr", "csc")))
+def test_check_unitary_defect_is_the_dense_gram_defect(u, form):
+    want = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    zero_column = not u.any(axis=0).all()
+    given_u = (u.tolist() if form == "dense"
+               else getattr(scipy.sparse, form + "_matrix")(u))
+    ok, defect = check_unitary(given_u)
+    assert defect == want
+    assert ok == (want <= 1e-9)
+    if zero_column:
+        # its Gram diagonal entry is not stored and counts as defect 1
+        assert defect >= 1.0
 
 
 def test_check_unitary_takes_sparse_matrices_as_is():

@@ -238,15 +238,45 @@ def test_cli_check_catches_false_public_claim(tmp_path, capsys):
 
 
 def test_cli_check_catches_incomplete_table(tmp_path, capsys):
-    # with row filling disabled, a deleted row leaves a hole in the table
+    # with row filling disabled, a deleted row leaves a hole in the table;
+    # check reports it as a failed rule instead of aborting
     bundle = make_bundle("odd")
     doc = verifier_document(bundle.verifier)
+    state, comm = doc["rows"]["0"][0]["source"]
     doc["rows"]["0"] = doc["rows"]["0"][1:]
     path = tmp_path / "gappy.spec"
     path.write_text(serialize_spec(doc), encoding="utf-8")
     assert main(["check", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert "incomplete table" in err
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "FAIL wellformed" in captured.out
+    assert "no image for state %r with comm %r on '0'" % (state, comm) \
+        in captured.out
+
+
+def test_cli_check_reports_every_rule_of_an_incomplete_table(tmp_path,
+                                                              capsys):
+    # fill off, one live row of toy_explicit removed: the wellformed rule
+    # names the hole and the declared claims are still checked
+    loaded = resolve_spec("toy_explicit")
+    doc = verifier_document(loaded.make().verifier,
+                            claims=loaded.document["claims"])
+    assert not doc["fill"]["guards"] and not doc["fill"]["completion"]
+    doc["rows"]["$"] = [entry for entry in doc["rows"]["$"]
+                        if entry["source"] != ["qa", BLANK]]
+    path = tmp_path / "gappy.spec"
+    path.write_text(serialize_spec(doc), encoding="utf-8")
+    assert main(["check", str(path), "--format", "json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    rules = {r["rule"]: r for r in report["rules"]}
+    assert not report["ok"]
+    assert rules["wellformed"]["ok"] is False
+    assert "worst defect inf" in rules["wellformed"]["detail"]
+    assert "no image for state 'qa' with comm '#' on '$'" \
+        in rules["wellformed"]["detail"]
+    for name in ("public-claim", "one-way-claim", "classical-honest",
+                 "committed-honest"):
+        assert rules[name]["ok"] is True
 
 
 def test_cli_sweep_refuses_a_missing_live_row(tmp_path, capsys):
@@ -476,9 +506,13 @@ BRANCHES = "need at least two interference branches, given as an integer"
      "'delta' must be a list of [state, symbol, state] string triples"),
     ("rfa", {"machine": _parity_machine_document(name=7)},
      "'name' must be a string"),
+    ("rfa", {"machine": _parity_machine_document(
+        delta=_parity_machine_document()["delta"] + [["even", "0", "acc"]])},
+     "'delta' lists ('even', '0') twice"),
 ], ids=["branches-null", "branches-string", "branches-one", "branches-float",
         "branches-bool", "machine-no-alphabet", "machine-initial-list",
-        "machine-accepting-string", "machine-delta-pair", "machine-name-int"])
+        "machine-accepting-string", "machine-delta-pair", "machine-name-int",
+        "machine-delta-repeated-key"])
 def test_ill_typed_bundle_params_are_validation_errors(bundle, params,
                                                        message, tmp_path,
                                                        capsys):
