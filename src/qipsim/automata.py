@@ -105,8 +105,9 @@ class VerifierSpec:
     compiled: {padded symbol: CompiledMoves}, the move tables as index
     arrays; the step operator and the per-symbol unitarity check read
     these.
-    analyses: input-independent results computed once per verifier by
-    the engine (announcement map, schedule adequacy).  The tables, the
+    analyses: input-independent results computed once per verifier: the
+    engine's announcement map and schedule adequacy, and
+    validate_wellformed's per-symbol unitarity defects.  The tables, the
     move tables and their compiled arrays included, are built once in
     __init__ and never mutated afterwards, so all of these stay valid.
     """
@@ -483,13 +484,19 @@ def build_step_operator(verifier, x):
     with a missing row.
     """
     tape = padded_input(x, verifier.input_alphabet)
+    return _step_matrix(verifier, tape), step_basis(verifier, x)
+
+
+def _step_matrix(verifier, tape):
+    """build_step_operator's matrix for a padded tape, without the basis."""
     length = len(tape)
     width = len(verifier.comm_alphabet)
     n_pairs = len(verifier.states) * width
-    basis = step_basis(verifier, x)
     if any(len(verifier.moves[s]) != n_pairs for s in tape):
-        for q, k, g in basis:
-            verifier.moves[tape[k]][q, g]  # raises at the first missing row
+        # raises at the first missing row in basis order
+        for q, k, g in itertools.product(verifier.states, range(length),
+                                         verifier.comm_alphabet):
+            verifier.moves[tape[k]][q, g]
     cols, rows_ix, data = [], [], []
     for sym in dict.fromkeys(tape):
         c = verifier.compiled[sym]
@@ -505,12 +512,12 @@ def build_step_operator(verifier, x):
     # the same order, bit for bit, as by a loop over the basis
     col = np.concatenate(cols)
     order = np.argsort(col, kind="stable")
-    mat = scipy.sparse.csr_matrix(
+    size = n_pairs * length
+    return scipy.sparse.csr_matrix(
         (np.concatenate(data)[order],
          (np.concatenate(rows_ix)[order], col[order])),
-        shape=(len(basis), len(basis)), dtype=complex,
+        shape=(size, size), dtype=complex,
     )
-    return mat, basis
 
 
 @dataclass
@@ -541,29 +548,40 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
     step operators are checked exhaustively as well.  Each defect is
     linalg.check_unitary's on the sparse matrix; a symbol with a missing
     row has defect inf, and so has every input whose tape scans it (its
-    step operator is not built).  ok is every defect <= tau.
+    step operator is not built).  The per-symbol defects do not depend on
+    tau and are computed once per verifier.  ok is every defect <= tau.
     """
-    per_symbol = {}
-    n_pairs = len(verifier.states) * len(verifier.comm_alphabet)
-    for sym, c in verifier.compiled.items():
-        if len(verifier.moves[sym]) != n_pairs:
-            per_symbol[sym] = float("inf")
-            continue
-        mat = scipy.sparse.csr_matrix(
-            (c.amp, (c.dst, c.src)), shape=(n_pairs, n_pairs), dtype=complex)
-        _, per_symbol[sym] = check_unitary(mat)
+    per_symbol = dict(_per_symbol_defects(verifier))
     per_input = {}
     for x in (inputs or ()):
         tape = padded_input(x, verifier.input_alphabet)
         if any(per_symbol[s] == float("inf") for s in tape):
             per_input[x] = float("inf")
             continue
-        mat, _ = build_step_operator(verifier, x)
-        _, per_input[x] = check_unitary(mat)
+        _, per_input[x] = check_unitary(_step_matrix(verifier, tape))
     defects = list(per_symbol.values()) + list(per_input.values())
     ok = all(d <= tau for d in defects)
     return WellformedReport(ok=ok, per_symbol=per_symbol,
                             per_input=per_input, tau=tau)
+
+
+def _per_symbol_defects(verifier):
+    """{padded symbol: unitarity defect of its table}, kept in
+    verifier.analyses after the first call."""
+    defects = verifier.analyses.get("per_symbol_defects")
+    if defects is not None:
+        return defects
+    defects = {}
+    n_pairs = len(verifier.states) * len(verifier.comm_alphabet)
+    for sym, c in verifier.compiled.items():
+        if len(verifier.moves[sym]) != n_pairs:
+            defects[sym] = float("inf")
+            continue
+        mat = scipy.sparse.csr_matrix(
+            (c.amp, (c.dst, c.src)), shape=(n_pairs, n_pairs), dtype=complex)
+        _, defects[sym] = check_unitary(mat)
+    verifier.analyses["per_symbol_defects"] = defects
+    return defects
 
 
 @dataclass

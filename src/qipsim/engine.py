@@ -1,7 +1,11 @@
 """Simulation engine for verifier-prover runs.
 
 Global configurations are (state, head, comm, tape) tuples carried in a
-sparse amplitude vector.  One verifier step (_verifier_step, shared by
+sparse amplitude vector.  run_protocol interns each distinct prover
+history tape once per run and keys its configurations by the tape's
+small integer id, so a key hashes in O(1) however long the history
+grows; provers still see and return tape tuples, and step records map
+the ids back to tuples.  One verifier step (_verifier_step, shared by
 run_protocol and run_mcomp) applies the move table of each scanned symbol,
 moves the head and banks the halting mass; the schedule DP and the step
 operator read the same move tables.  The prover acts between verifier
@@ -131,8 +135,12 @@ def run_protocol(verifier, x, prover=None, cfg=None):
     )
     started = time.perf_counter()
 
-    live = SparseVector({(verifier.initial, 0, BLANK, ()): 1.0 + 0j})
-    counts = {(verifier.initial, 0, BLANK, ()): 0} if cfg.count_interactions else None
+    # configurations carry a tape id: tapes[id] is the tape, tape_ids its
+    # inverse
+    tapes = [()]
+    tape_ids = {(): 0}
+    live = SparseVector({(verifier.initial, 0, BLANK, 0): 1.0 + 0j})
+    counts = {(verifier.initial, 0, BLANK, 0): 0} if cfg.count_interactions else None
     p_acc = 0.0
     p_rej = 0.0
     pruned_mass = 0.0
@@ -162,8 +170,9 @@ def run_protocol(verifier, x, prover=None, cfg=None):
                 )
         if records is not None:
             records.append(StepRecord(
-                step=t, live=sorted(live.items()), p_acc=p_acc, p_rej=p_rej,
-                query_mass=query_mass,
+                step=t, live=sorted(((q, k, g, tapes[i]), a)
+                                    for (q, k, g, i), a in live.items()),
+                p_acc=p_acc, p_rej=p_rej, query_mass=query_mass,
             ))
         if t == max_steps:
             budget_exhausted = bool(live) and verifier.two_way
@@ -176,14 +185,22 @@ def run_protocol(verifier, x, prover=None, cfg=None):
         # prover round t
         nxt = SparseVector()
         nxt_counts = {} if counts is not None else None
-        for (q, k, g, y), a in live.items():
-            base = counts[(q, k, g, y)] if counts is not None else 0
+        for (q, k, g, i), a in live.items():
+            base = counts[(q, k, g, i)] if counts is not None else 0
+            y = tapes[i]
             for pamp, g2, y2 in prover.apply(t, g, y):
                 if len(y2) > trunc:
                     raise BudgetError(
                         "prover history exceeded the %d-record truncation" % trunc
                     )
-                key = (q, k, g2, y2)
+                if y2 is y:
+                    i2 = i
+                else:
+                    i2 = tape_ids.get(y2)
+                    if i2 is None:
+                        i2 = tape_ids[y2] = len(tapes)
+                        tapes.append(y2)
+                key = (q, k, g2, i2)
                 nxt.add(key, a * pamp)
                 if nxt_counts is not None:
                     nxt_counts[key] = max(nxt_counts.get(key, -1), base)

@@ -116,6 +116,8 @@ class SparseVector(dict):
         if threshold <= 0.0:
             return 0.0
         dropped = [(k, v) for k, v in self.items() if abs(v) <= threshold]
+        if not dropped:
+            return 0.0
         for k, _ in dropped:
             del self[k]
         return float(sum((v * v.conjugate()).real for _, v in dropped))

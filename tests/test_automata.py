@@ -137,7 +137,7 @@ def test_wellformed_missing_row_reports_infinite_defect(monkeypatch):
     # an input whose tape scans an incomplete table is inf as well, and
     # its step operator is not built
     built = []
-    monkeypatch.setattr(automata, "build_step_operator",
+    monkeypatch.setattr(automata, "_step_matrix",
                         lambda *args: built.append(args))
     report = validate_wellformed(v, inputs=["", "0"])
     assert report.per_input == {"": float("inf"), "0": float("inf")}

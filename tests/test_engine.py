@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qipsim import engine
 from qipsim.automata import (
     BLANK, LEFT_END, RIGHT_END, build_step_operator, complete_verifier,
+    padded_input,
 )
 from qipsim.engine import (
     EngineConfig,
@@ -25,9 +26,13 @@ from qipsim.engine import (
     run_protocol,
     sweep_family,
 )
-from qipsim.errors import EngineError, FamilyInadequacyError, ValidationError
+from qipsim.errors import (
+    BudgetError, EngineError, FamilyInadequacyError, ValidationError,
+)
+from qipsim.linalg import SparseVector
 from qipsim.provers import (
-    ExplicitRoundProver, IdentityProver, MessageSchedule, enumerate_schedules,
+    ExplicitRoundProver, HistoryResponder, IdentityProver, MessageSchedule,
+    enumerate_schedules,
 )
 from qipsim.specfile import parse_spec, serialize_spec, verifier_document
 from qipsim.zoo import make_bundle
@@ -407,3 +412,155 @@ def test_halt_mass_target_stops_two_way_runs_early(blocks):
     assert partial.steps < full.steps
     assert partial.p_acc + partial.p_rej >= 0.5
     assert partial.residual > 0.0
+
+
+def test_tape_truncation_is_a_budget_error():
+    # the honest run on this member grows a 24-record history
+    center = make_bundle("center")
+    x = "0001000"
+    prover = center.honest_prover(x)
+    for trunc in (1, 23):
+        with pytest.raises(BudgetError, match="prover history exceeded the "
+                           "%d-record truncation" % trunc):
+            run_protocol(center.verifier, x, prover,
+                         EngineConfig(tape_trunc=trunc))
+    full = run_protocol(center.verifier, x, prover, EngineConfig(tape_trunc=24))
+    assert full.p_acc == pytest.approx(1.0)
+
+
+def _reference_run(verifier, x, prover, cfg):
+    """run_protocol keyed by the tape tuples themselves, one dict key
+    (state, head, comm, tape) per configuration: the reference for the
+    engine's interned tape ids.  The wallclock is left at 0.
+    """
+    cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
+    max_steps = resolve_max_steps(verifier, x, cfg)
+    trunc = cfg.tape_trunc if cfg.tape_trunc is not None else max_steps + 2
+    halt_target = (
+        cfg.halt_mass_target if cfg.halt_mass_target is not None
+        else 1.0 - 0.5 * cfg.tau
+    )
+    start = (verifier.initial, 0, BLANK, ())
+    live = SparseVector({start: 1.0 + 0j})
+    counts = {start: 0} if cfg.count_interactions else None
+    p_acc = p_rej = pruned_mass = 0.0
+    max_queries = 0
+    records = [] if cfg.record_steps else None
+    steps = 0
+    budget_exhausted = False
+    for t in range(1, max_steps + 1):
+        steps = t
+        live, accepted, rejected, query_mass, nxt_counts = (
+            engine._verifier_step(verifier, cells, live, counts))
+        p_acc += accepted
+        p_rej += rejected
+        pruned_mass += live.prune(cfg.prune)
+        if counts is not None:
+            counts = {key: c for key, c in nxt_counts.items() if key in live}
+            if counts:
+                max_queries = max(max_queries, max(counts.values()))
+        if records is not None:
+            records.append(engine.StepRecord(
+                step=t, live=sorted(live.items()), p_acc=p_acc, p_rej=p_rej,
+                query_mass=query_mass,
+            ))
+        if t == max_steps:
+            budget_exhausted = bool(live) and verifier.two_way
+            break
+        if verifier.two_way and (not live or p_acc + p_rej >= halt_target):
+            break
+        nxt = SparseVector()
+        nxt_counts = {} if counts is not None else None
+        for (q, k, g, y), a in live.items():
+            base = counts[(q, k, g, y)] if counts is not None else 0
+            for pamp, g2, y2 in prover.apply(t, g, y):
+                if len(y2) > trunc:
+                    raise BudgetError(
+                        "prover history exceeded the %d-record truncation"
+                        % trunc)
+                key = (q, k, g2, y2)
+                nxt.add(key, a * pamp)
+                if nxt_counts is not None:
+                    nxt_counts[key] = max(nxt_counts.get(key, -1), base)
+        pruned_mass += nxt.prune(cfg.prune)
+        live = nxt
+        if counts is not None:
+            counts = nxt_counts
+    return engine.RunResult(
+        input=x, prover_id=prover.prover_id, p_acc=p_acc, p_rej=p_rej,
+        residual=live.norm_sq(), steps=steps,
+        interactions=max_queries if cfg.count_interactions else None,
+        budget_exhausted=budget_exhausted, step_records=records,
+        pruned=pruned_mass,
+    )
+
+
+def _assert_same_run(got, want):
+    # repr is exact for floats and complexes, and tells -0.0 from 0.0
+    for name in ("p_acc", "p_rej", "residual", "pruned", "interactions",
+                 "steps", "budget_exhausted", "step_records"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(core_tables(two_way=True, splits=(0.5, 1e-8)), st.data())
+def test_interned_tapes_match_the_tuple_keyed_reference(kwargs, data):
+    v = complete_verifier(**kwargs)
+    rounds = 7
+    comm = st.sampled_from(v.comm_alphabet)
+    if data.draw(st.booleans()):
+        prover = MessageSchedule(data.draw(
+            st.dictionaries(st.integers(1, rounds), comm)))
+    else:
+        replies = data.draw(st.dictionaries(
+            st.tuples(st.integers(1, rounds), comm), comm))
+        prover = HistoryResponder(
+            lambda t, g: replies.get((t, g), g), prover_id="replies")
+    for x in SHORT_INPUTS:
+        for prune in (0.0, 1e-3):
+            cfg = EngineConfig(prune=prune, max_steps=rounds + 1,
+                               count_interactions=True, record_steps=True)
+            got = run_protocol(v, x, prover, cfg)
+            _assert_same_run(got, _reference_run(v, x, prover, cfg))
+            assert all(isinstance(key[3], tuple)
+                       for rec in got.step_records for key, _ in rec.live)
+
+
+@pytest.mark.parametrize("name,branches,inputs", [
+    ("center", 2, ("010", "0110", "00100")),
+    ("center", 3, ("010", "1101011")),
+    ("equal_blocks", 2, ("0011", "0101")),
+])
+def test_interned_tapes_match_the_reference_on_interfering_runs(
+        name, branches, inputs):
+    # timing branches with equal histories interfere again at the end, so
+    # equal tapes reached from different configurations must share an id
+    bundle = make_bundle(name, {"branches": branches})
+    for x in inputs:
+        for prover in [bundle.honest_prover(x), *bundle.adversary_family(x)]:
+            for prune in (0.0, 1e-3):
+                cfg = EngineConfig(prune=prune, count_interactions=True,
+                                   record_steps=True)
+                _assert_same_run(
+                    run_protocol(bundle.verifier, x, prover, cfg),
+                    _reference_run(bundle.verifier, x, prover, cfg))
+
+
+def test_step_records_list_tapes_in_tape_order():
+    # the 'b' branch comes first, so its tape gets the smaller id, but the
+    # records sort by the tapes themselves
+    half = 1 / math.sqrt(2)
+    rows = {LEFT_END: {("q0", BLANK): ((half, "q1", "b"), (half, "q1", "a"))}}
+    rows.update({s: {("q1", BLANK): ((1.0, "q1", BLANK),)}
+                 for s in ("0", RIGHT_END)})
+    v = complete_verifier(
+        name="fan", input_alphabet=("0",), comm_alphabet=(BLANK, "a", "b"),
+        non_halting=("q0", "q1"), accepting=("acc",), rejecting=("rej",),
+        initial="q0", two_way=True, core_rows=rows,
+        head_dir={"q0": 1, "q1": 1, "acc": 0, "rej": 0})
+    prover = MessageSchedule({1: BLANK})
+    cfg = EngineConfig(max_steps=3, record_steps=True)
+    got = run_protocol(v, "0", prover, cfg)
+    _assert_same_run(got, _reference_run(v, "0", prover, cfg))
+    assert [key[3] for key, _ in got.step_records[1].live] == [
+        ((1, "a"),), ((1, "b"),)]

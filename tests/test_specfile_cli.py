@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from qipsim import cli, engine
+from qipsim import automata, cli, engine
 from qipsim.automata import BLANK, complete_verifier
 from qipsim.cli import main, resolve_spec
 from qipsim.engine import run_protocol
@@ -385,6 +385,25 @@ def test_cli_sweep_builds_and_analyses_once_per_command(
     assert len(builds) == 1
     assert len(analyses) == announced
     assert len(runs) == SWEEP_RUNS[argv[1]]
+
+
+@pytest.mark.parametrize("token", ["center", "equal_blocks", "odd"])
+def test_cli_check_runs_the_per_symbol_check_once(token, monkeypatch, capsys):
+    verifier = resolve_spec(token).make().verifier
+    n_pairs = len(verifier.states) * len(verifier.comm_alphabet)
+    calls = _count_calls(monkeypatch, automata, "check_unitary")
+    assert main(["check", token]) == 0
+    per_symbol = [m for (m, *_) in calls if m.shape == (n_pairs, n_pairs)]
+    assert len(per_symbol) == len(verifier.padded_alphabet)
+    # plus one step operator per input of length 0..3
+    assert len(calls) == len(per_symbol) + 15
+
+
+def test_cli_run_tape_truncation_is_a_budget_error(capsys):
+    code = main(["run", "center", "--input", "0001000", "--tape-trunc", "1"])
+    assert code == 5
+    assert capsys.readouterr().err == (
+        "error: prover history exceeded the 1-record truncation\n")
 
 
 def test_cli_sweep_quotes_schedule_ids_in_csv(capsys):
