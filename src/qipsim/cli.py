@@ -13,10 +13,13 @@ Subcommands:
 * ``trace`` — per-step configuration/amplitude listing; with ``--mcomp``
   the proverless comm-projection run with its per-step query mass.
 
-Report rows carry, in order: input, prover id, p_acc lower, p_acc
-upper, p_rej lower, interactions, steps, wallclock.  Probabilities are
-printed with 12 significant digits and clamped to [0, 1] after
-tau-rounding.  Exit codes: 0 success, 2 parse, 3 validation, 4 engine,
+Every command hands one record to `emit`, the one output layer, which
+writes it as text, JSON or CSV (``--format``) to stdout or ``--out``,
+with floats to 12 significant digits.  Report rows carry, in order:
+input, prover id, p_acc lower, p_acc upper, p_rej lower, interactions,
+steps, wallclock, each probability clamped to [0, 1] after tau-rounding.
+Exit codes: 0 success, 2 parse (also a flag value out of range, an
+unreadable spec or an unwritable ``--out``), 3 validation, 4 engine,
 5 budget.
 """
 
@@ -25,14 +28,15 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
 
 from .automata import validate_public, validate_wellformed
 from .engine import (
-    EngineConfig, best_schedule_acceptance, resolve_max_steps, run_mcomp,
-    run_protocol, sweep_family,
+    EngineConfig, MCompTrace, best_schedule_acceptance, resolve_max_steps,
+    run_mcomp, run_protocol, sweep_family,
 )
 from .errors import (
     BudgetError, FamilyInadequacyError, ParseError, QipsimError,
@@ -60,10 +64,6 @@ def _tau_round(p, tau):
     elif abs(p - 1.0) <= tau:
         p = 1.0
     return min(max(p, 0.0), 1.0)
-
-
-def _round12(value):
-    return float(_g(value))
 
 
 # -- spec resolution ----------------------------------------------------------
@@ -113,7 +113,7 @@ def _check_input_string(verifier, x):
         )
 
 
-# -- report assembly ----------------------------------------------------------
+# -- output -------------------------------------------------------------------
 
 
 def report_row(result, tau, wallclock=None):
@@ -131,68 +131,65 @@ def report_row(result, tau, wallclock=None):
     }
 
 
-def _rows_text(rows):
-    lines = []
-    for row in rows:
-        inter = "-" if row["interactions"] is None else str(row["interactions"])
-        lines.append(
-            "input=%r prover=%s p_acc=[%s, %s] p_rej>=%s interactions=%s "
-            "steps=%d wallclock=%s" % (
-                row["input"], row["prover_id"],
-                _g(row["p_acc_lower"]), _g(row["p_acc_upper"]),
-                _g(row["p_rej_lower"]), inter, row["steps"],
-                _g(row["wallclock"]),
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _rows_csv(rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
-    for row in rows:
-        inter = "" if row["interactions"] is None else str(row["interactions"])
-        writer.writerow((
+def _report_record(rows):
+    """The record of a list of report rows, for `emit`."""
+    lines = [
+        "input=%r prover=%s p_acc=[%s, %s] p_rej>=%s interactions=%s "
+        "steps=%d wallclock=%s" % (
             row["input"], row["prover_id"],
             _g(row["p_acc_lower"]), _g(row["p_acc_upper"]),
-            _g(row["p_rej_lower"]), inter, str(row["steps"]),
-            _g(row["wallclock"]),
-        ))
-    return buffer.getvalue()
+            _g(row["p_rej_lower"]),
+            "-" if row["interactions"] is None else row["interactions"],
+            row["steps"], _g(row["wallclock"]),
+        )
+        for row in rows
+    ]
+    return rows, REPORT_FIELDS, rows, lines
 
 
-def _rows_json(rows):
-    payload = []
-    for row in rows:
-        payload.append({
-            "input": row["input"],
-            "prover_id": row["prover_id"],
-            "p_acc_lower": _round12(row["p_acc_lower"]),
-            "p_acc_upper": _round12(row["p_acc_upper"]),
-            "p_rej_lower": _round12(row["p_rej_lower"]),
-            "interactions": row["interactions"],
-            "steps": row["steps"],
-            "wallclock": _round12(row["wallclock"]),
-        })
-    return json.dumps(payload, indent=2) + "\n"
+def _round_floats(value):
+    """A JSON document with every float rounded to 12 significant digits."""
+    if isinstance(value, float):
+        return float(_g(value))
+    if isinstance(value, dict):
+        return {key: _round_floats(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round_floats(item) for item in value]
+    return value
 
 
-def emit(text, args):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _csv_cell(value):
+    """A CSV cell: 12 significant digits for a float, empty for None."""
+    if value is None:
+        return ""
+    return _g(value) if isinstance(value, float) else value
+
+
+def emit(args, document, header, rows, lines):
+    """Write one record in the --format asked for, to --out or stdout.
+
+    A record is a JSON document, CSV rows (dicts holding at least the
+    header's fields) with their header, and the lines of the text
+    report.  This is the only code that turns a record into output.
+    """
+    if args.format == "json":
+        text = json.dumps(_round_floats(document), indent=2) + "\n"
+    elif args.format == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_csv_cell(row[f]) for f in header] for row in rows)
+        text = buffer.getvalue()
     else:
+        text = "\n".join(lines) + "\n"
+    if not args.out:
         sys.stdout.write(text)
-
-
-def emit_rows(rows, args):
-    if args.format == "csv":
-        emit(_rows_csv(rows), args)
-    elif args.format == "json":
-        emit(_rows_json(rows), args)
-    else:
-        emit(_rows_text(rows), args)
+        return
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError("cannot write --out %s: %s"
+                         % (args.out, exc.strerror or exc)) from None
 
 
 def engine_config(args, count_interactions=False, record_steps=False):
@@ -232,8 +229,7 @@ def cmd_check(args):
     def skip(name, why):
         rules.append({"rule": name, "ok": None, "detail": "skipped: " + why})
 
-    step_inputs = _enumerate_inputs(verifier.input_alphabet, 0,
-                                    max(args.n_max, 0))
+    step_inputs = _enumerate_inputs(verifier.input_alphabet, 0, args.n_max)
     report = validate_wellformed(verifier, tau=args.tau, inputs=step_inputs)
     detail = report.summary()
     if not report.ok:
@@ -330,19 +326,15 @@ def cmd_check(args):
              "no completeness claim or no language predicate")
 
     failed = [r for r in rules if r["ok"] is False]
-    if args.format == "json":
-        emit(json.dumps({
-            "spec": loaded.source, "name": bundle.name,
-            "ok": not failed, "rules": rules,
-        }, indent=2) + "\n", args)
-    else:
-        lines = []
-        for r in rules:
-            mark = "--" if r["ok"] is None else ("ok" if r["ok"] else "FAIL")
-            lines.append("%-4s %-20s %s" % (mark, r["rule"], r["detail"]))
-        lines.append("%s: %d checked, %d failed"
-                     % (bundle.name, len(rules), len(failed)))
-        emit("\n".join(lines) + "\n", args)
+    lines = []
+    for r in rules:
+        mark = "--" if r["ok"] is None else ("ok" if r["ok"] else "FAIL")
+        lines.append("%-4s %-20s %s" % (mark, r["rule"], r["detail"]))
+    lines.append("%s: %d checked, %d failed"
+                 % (bundle.name, len(rules), len(failed)))
+    emit(args, {"spec": loaded.source, "name": bundle.name,
+                "ok": not failed, "rules": rules},
+         ("rule", "ok", "detail"), rules, lines)
     return 0 if not failed else 3
 
 
@@ -350,21 +342,18 @@ def cmd_check(args):
 
 
 def _select_prover(bundle, x, selector):
-    if selector == "honest":
-        return bundle.honest_prover(x)
     if selector == "identity":
         return IdentityProver()
-    raise ValidationError("unknown prover selector %r" % (selector,))
+    return bundle.honest_prover(x)
 
 
 def cmd_run(args):
-    loaded = resolve_spec(args.spec)
-    bundle = instantiate(loaded, args.N)
+    bundle = instantiate(resolve_spec(args.spec), args.N)
     _check_input_string(bundle.verifier, args.input)
     prover = _select_prover(bundle, args.input, args.prover)
     cfg = engine_config(args, count_interactions=args.count_interactions)
     result = run_protocol(bundle.verifier, args.input, prover, cfg)
-    emit_rows([report_row(result, args.tau)], args)
+    emit(args, *_report_record([report_row(result, args.tau)]))
     return 0
 
 
@@ -375,14 +364,13 @@ def _sweep_inputs(args, bundle):
     if args.inputs is not None:
         inputs = [""] if args.inputs == "" else args.inputs.split(",")
     else:
-        lo = args.min_len if args.min_len is not None else 0
-        hi = args.max_len
-        if hi is None:
+        if args.max_len is None:
             raise ValidationError(
                 "sweep needs --inputs or a --max-len length range")
-        if lo > hi:
+        if args.min_len > args.max_len:
             raise ValidationError("--min-len exceeds --max-len")
-        inputs = _enumerate_inputs(bundle.verifier.input_alphabet, lo, hi)
+        inputs = _enumerate_inputs(bundle.verifier.input_alphabet,
+                                   args.min_len, args.max_len)
     for x in inputs:
         _check_input_string(bundle.verifier, x)
     if args.only != "all":
@@ -422,7 +410,7 @@ def cmd_sweep(args):
     inputs = _sweep_inputs(args, bundle)
     cfg = engine_config(args, count_interactions=True)
     rows = [_sweep_one(bundle, x, args.family, cfg, args.tau) for x in inputs]
-    emit_rows(rows, args)
+    emit(args, *_report_record(rows))
     return 0
 
 
@@ -430,125 +418,94 @@ def cmd_sweep(args):
 
 
 def _tape_text(tape):
-    if not tape:
-        return "-"
-    return ";".join("%d:%s" % (t, g) for t, g in tape)
+    return ";".join("%d:%s" % (t, g) for t, g in tape) or "-"
 
 
-def _trace_text(records, header, footer):
-    lines = [header]
-    for rec in records:
+def _trace_record(run, tau):
+    """The record of a protocol run, or of a comm-projection run when
+    `run` is an MCompTrace, for `emit`."""
+    p_acc, p_rej = _tau_round(run.p_acc, tau), _tau_round(run.p_rej, tau)
+    summary = {"p_acc": p_acc, "p_rej": p_rej, "residual": run.residual,
+               "steps": run.steps}
+    totals = "p_acc=%s p_rej=%s residual=%s" % (
+        _g(p_acc), _g(p_rej), _g(run.residual))
+    if isinstance(run, MCompTrace):
+        document = {"input": run.input, "query_masses": run.masses,
+                    **summary}
+        header = ("step", "query_mass")
+        rows = [{"step": i, "query_mass": m} for i, m in enumerate(run.masses)]
+        lines = ["comm-projection run on %r" % run.input]
+        footer = ["query_masses=[%s]" % ", ".join(_g(m) for m in run.masses),
+                  totals]
+    else:
+        records = [{
+            "step": rec.step, "p_acc": rec.p_acc, "p_rej": rec.p_rej,
+            "query_mass": rec.query_mass,
+            "live": [{"state": q, "head": k, "comm": g, "tape": tape,
+                      "re": amp.real, "im": amp.imag}
+                     for (q, k, g, tape), amp in rec.live],
+        } for rec in run.step_records]
+        document = {"input": run.input, "prover_id": run.prover_id,
+                    **summary, "records": records}
+        header = ("step", "state", "head", "comm", "tape", "re", "im")
+        rows = [{**live, "step": rec["step"], "tape": _tape_text(live["tape"])}
+                for rec in records for live in rec["live"]]
+        lines = ["run on %r with prover %s" % (run.input, run.prover_id)]
+        footer = [totals + " steps=%d" % run.steps]
+    for rec in run.step_records:
         lines.append(
             "step %d  p_acc=%s p_rej=%s query_mass=%s" % (
                 rec.step, _g(rec.p_acc), _g(rec.p_rej), _g(rec.query_mass))
         )
         for key, amp in rec.live:
-            if len(key) == 4:
-                q, k, g, tape = key
-                tail = " tape=%s" % _tape_text(tape)
-            else:
-                q, k, g = key
-                tail = ""
+            q, k, g = key[:3]
+            tail = " tape=%s" % _tape_text(key[3]) if len(key) == 4 else ""
             mass = (amp * amp.conjugate()).real
             lines.append(
                 "  state=%s head=%d comm=%s amp=%s%+.12gi mass=%s%s" % (
                     q, k, g, _g(amp.real), amp.imag, _g(mass), tail)
             )
-    lines.append(footer)
-    return "\n".join(lines) + "\n"
+    return document, header, rows, lines + footer
 
 
 def cmd_trace(args):
-    loaded = resolve_spec(args.spec)
-    bundle = instantiate(loaded, args.N)
+    bundle = instantiate(resolve_spec(args.spec), args.N)
     _check_input_string(bundle.verifier, args.input)
     cfg = engine_config(args, record_steps=True)
     if args.mcomp:
-        trace = run_mcomp(bundle.verifier, args.input, cfg)
-        if args.format == "json":
-            emit(json.dumps({
-                "input": trace.input,
-                "query_masses": [_round12(m) for m in trace.masses],
-                "p_acc": _round12(_tau_round(trace.p_acc, args.tau)),
-                "p_rej": _round12(_tau_round(trace.p_rej, args.tau)),
-                "residual": _round12(trace.residual),
-                "steps": trace.steps,
-            }, indent=2) + "\n", args)
-        elif args.format == "csv":
-            lines = ["step,query_mass"]
-            lines.extend("%d,%s" % (i, _g(m))
-                         for i, m in enumerate(trace.masses))
-            emit("\n".join(lines) + "\n", args)
-        else:
-            header = "comm-projection run on %r" % args.input
-            footer = (
-                "query_masses=[%s]\np_acc=%s p_rej=%s residual=%s" % (
-                    ", ".join(_g(m) for m in trace.masses),
-                    _g(_tau_round(trace.p_acc, args.tau)),
-                    _g(_tau_round(trace.p_rej, args.tau)),
-                    _g(trace.residual))
-            )
-            emit(_trace_text(trace.step_records or [], header, footer), args)
-        return 0
-    prover = _select_prover(bundle, args.input, args.prover)
-    result = run_protocol(bundle.verifier, args.input, prover, cfg)
-    if args.format == "json":
-        payload = {
-            "input": result.input, "prover_id": result.prover_id,
-            "p_acc": _round12(_tau_round(result.p_acc, args.tau)),
-            "p_rej": _round12(_tau_round(result.p_rej, args.tau)),
-            "residual": _round12(result.residual),
-            "steps": result.steps,
-            "records": [
-                {
-                    "step": rec.step,
-                    "p_acc": _round12(rec.p_acc),
-                    "p_rej": _round12(rec.p_rej),
-                    "query_mass": _round12(rec.query_mass),
-                    "live": [
-                        {
-                            "state": key[0], "head": key[1], "comm": key[2],
-                            "tape": [list(entry) for entry in key[3]],
-                            "re": _round12(amp.real),
-                            "im": _round12(amp.imag),
-                        }
-                        for key, amp in rec.live
-                    ],
-                }
-                for rec in (result.step_records or [])
-            ],
-        }
-        emit(json.dumps(payload, indent=2) + "\n", args)
-    elif args.format == "csv":
-        lines = ["step,state,head,comm,tape,re,im"]
-        for rec in result.step_records or []:
-            for key, amp in rec.live:
-                lines.append("%d,%s,%d,%s,%s,%s,%s" % (
-                    rec.step, key[0], key[1], key[2], _tape_text(key[3]),
-                    _g(amp.real), _g(amp.imag)))
-        emit("\n".join(lines) + "\n", args)
+        run = run_mcomp(bundle.verifier, args.input, cfg)
     else:
-        header = "run on %r with prover %s" % (args.input, result.prover_id)
-        footer = "p_acc=%s p_rej=%s residual=%s steps=%d" % (
-            _g(_tau_round(result.p_acc, args.tau)),
-            _g(_tau_round(result.p_rej, args.tau)),
-            _g(result.residual), result.steps)
-        emit(_trace_text(result.step_records or [], header, footer), args)
+        prover = _select_prover(bundle, args.input, args.prover)
+        run = run_protocol(bundle.verifier, args.input, prover, cfg)
+    emit(args, *_trace_record(run, args.tau))
     return 0
 
 
 # -- parser -------------------------------------------------------------------
 
 
+def _at_least(low, convert=int):
+    """An argparse type: a finite int (or `convert`) value >= low."""
+    def parse(text):
+        value = convert(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                "must be a finite number >= %s, got %r" % (low, text))
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tau", type=float, default=1e-9,
+    common.add_argument("spec")
+    common.add_argument("--tau", type=_at_least(0, float), default=1e-9,
                         help="numerical tolerance (default 1e-9)")
-    common.add_argument("--prune", type=float, default=1e-12,
+    common.add_argument("--prune", type=_at_least(0, float), default=1e-12,
                         help="amplitude prune threshold (default 1e-12)")
-    common.add_argument("--max-steps", type=int, default=None,
+    common.add_argument("--max-steps", type=_at_least(1), default=None,
                         help="two-way step budget override")
-    common.add_argument("--tape-trunc", type=int, default=None,
+    common.add_argument("--tape-trunc", type=_at_least(0), default=None,
                         help="history-tape record cap")
     common.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format")
@@ -556,6 +513,10 @@ def build_parser():
                         help="write output to this path instead of stdout")
     common.add_argument("--N", type=int, default=None, dest="N",
                         help="override the bundled branch-count parameter")
+    one_run = argparse.ArgumentParser(add_help=False)
+    one_run.add_argument("--input", required=True)
+    one_run.add_argument("--prover", choices=("honest", "identity"),
+                         default="honest")
 
     parser = argparse.ArgumentParser(
         prog="qipsim",
@@ -566,28 +527,22 @@ def build_parser():
 
     p_check = sub.add_parser("check", parents=[common],
                              help="validate a spec file's declared claims")
-    p_check.add_argument("spec")
-    p_check.add_argument("--n-max", type=int, default=3, dest="n_max",
+    p_check.add_argument("--n-max", type=_at_least(0), default=3,
                          help="max input length for step-operator checks")
     p_check.set_defaults(func=cmd_check)
 
-    p_run = sub.add_parser("run", parents=[common],
+    p_run = sub.add_parser("run", parents=[common, one_run],
                            help="run one protocol on one input")
-    p_run.add_argument("spec")
-    p_run.add_argument("--input", required=True)
-    p_run.add_argument("--prover", choices=("honest", "identity"),
-                       default="honest")
     p_run.add_argument("--count-interactions", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="worst-case acceptance over an adversary "
                                   "family, per input")
-    p_sweep.add_argument("spec")
     p_sweep.add_argument("--inputs", default=None,
                          help="comma-separated explicit inputs ('' = empty)")
-    p_sweep.add_argument("--min-len", type=int, default=None)
-    p_sweep.add_argument("--max-len", type=int, default=None)
+    p_sweep.add_argument("--min-len", type=_at_least(0), default=0)
+    p_sweep.add_argument("--max-len", type=_at_least(0), default=None)
     p_sweep.add_argument("--only", choices=("members", "nonmembers", "all"),
                          default="all",
                          help="filter enumerated inputs by the language")
@@ -598,12 +553,8 @@ def build_parser():
                               "where certified, else the bundle's family)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_trace = sub.add_parser("trace", parents=[common],
+    p_trace = sub.add_parser("trace", parents=[common, one_run],
                              help="per-step configuration dump")
-    p_trace.add_argument("spec")
-    p_trace.add_argument("--input", required=True)
-    p_trace.add_argument("--prover", choices=("honest", "identity"),
-                         default="honest")
     p_trace.add_argument("--mcomp", action="store_true",
                          help="proverless comm-projection run with per-step "
                               "query mass")

@@ -541,15 +541,6 @@ class FamilySweep:
         """The row attaining best_upper; the first one on ties."""
         return max(self.rows, key=lambda result: result.acceptance_bounds[1])
 
-    def csv_rows(self):
-        """(input, adversary id, p_acc lower, p_acc upper, interactions)."""
-        out = []
-        for result in self.rows:
-            lo, hi = result.acceptance_bounds
-            out.append((result.input, result.prover_id, lo, hi,
-                        result.interactions))
-        return out
-
 
 def sweep_family(verifier, x, provers, cfg=None):
     """Run each prover in the family; report the worst-case acceptance."""

@@ -12,7 +12,8 @@ class QipsimError(Exception):
 
 
 class ParseError(QipsimError):
-    """A spec document could not be parsed or violates the document schema."""
+    """A spec document could not be parsed or violates the document schema,
+    or a path named on the command line could not be read or written."""
 
     exit_code = 2
 

@@ -394,13 +394,12 @@ def test_sweep_family_reports_worst_case():
                          center.adversary_family("100"), cfg)
     assert sweep.best_upper == pytest.approx(0.5, abs=1e-9)
     assert len(sweep.rows) == len(center.adversary_family("100"))
-    csv_rows = sweep.csv_rows()
-    assert len(csv_rows) == len(sweep.rows)
-    for x_in, prover_id, lo, hi, interactions in csv_rows:
-        assert x_in == "100"
-        assert isinstance(prover_id, str)
+    for result in sweep.rows:
+        lo, hi = result.acceptance_bounds
+        assert result.input == "100"
+        assert isinstance(result.prover_id, str)
         assert 0.0 <= lo <= hi <= 1.0
-        assert interactions is not None
+        assert result.interactions is not None
 
 
 def test_halt_mass_target_stops_two_way_runs_early(blocks):

@@ -1,13 +1,16 @@
-"""Golden CLI output: `sweep --format csv`, `check --format json`
-verdicts, and `run`/`trace` in every format.
+"""Golden CLI output: every command in every format.
 
 Each case's expected text lives in tests/golden/<case>.txt: an
-``exit N`` line, then stdout, then stderr.  `check` keeps only each
-rule's name and ok; its detail strings carry ~1e-16 defects whose last
-digits depend on libm.  `run` and `trace` are kept as printed: their
+``exit N`` line, then stdout, then stderr.  `check --format json` keeps
+only each rule's name and ok.  `check` in text and csv keeps every
+detail string verbatim except the wellformed rule's ``worst defect``
+number, masked with ``*``: it is a ~1e-16 defect whose last digits
+depend on libm.  `run`, `sweep` and `trace` are kept as printed: their
 probabilities and amplitudes are already rounded to 12 significant
-digits (cli._round12), and `run`'s wallclock is masked with ``*``.
-The `trace` files pin the history tapes the engine reports.
+digits by the CLI's output layer, and `run`'s wallclock is masked with
+``*``.  The `trace` files pin the history tapes the engine reports.
+A case whose argv holds OUT writes through ``--out`` to a temporary
+file; that file's contents stand in for stdout.
 
 Regenerate after a deliberate output change with
 ``PYTHONPATH=src python tests/test_golden.py --write``.
@@ -18,6 +21,7 @@ import io
 import json
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -49,6 +53,18 @@ RUN_SPECS = (
 ONE_WAY = {"odd"}
 FORMATS = ("text", "json", "csv")
 
+# `check` and `sweep` in the formats the cases above leave out
+CHECK_FORMAT_SPECS = (
+    ("zero", ()), ("odd", ()), ("center", ("--N", "2")),
+    ("equal_blocks", ("--N", "2")), ("npfa_branch", ()), ("toy_explicit", ()),
+)
+CHECK_FORMATS = ("text", "csv")
+SWEEP_FORMAT_SPECS = (
+    ("zero", ()), ("center", ("--N", "2")), ("npfa_branch", ()),
+)
+
+OUT = "<out>"
+
 
 def _cases():
     cases = {}
@@ -70,6 +86,17 @@ def _cases():
             if spec in ONE_WAY:
                 cases["trace-%s-mcomp-%s" % (name, fmt)] = [
                     "trace", spec, *flags, "--mcomp"]
+    for spec, extra in CHECK_FORMAT_SPECS:
+        name = spec + "".join("-N" + v for v in extra[1::2])
+        for fmt in CHECK_FORMATS:
+            cases["check-%s-%s" % (name, fmt)] = [
+                "check", spec, *extra, "--format", fmt]
+    for spec, extra in SWEEP_FORMAT_SPECS:
+        name = spec + "".join("-N" + v for v in extra[1::2])
+        for fmt in ("text", "json"):
+            cases["sweep-%s-%s" % (name, fmt)] = [
+                "sweep", spec, *extra, "--max-len", "3", "--format", fmt]
+    cases["run-odd-text-out"] = [*cases["run-odd-text"], "--out", OUT]
     return cases
 
 
@@ -78,10 +105,17 @@ CASES = _cases()
 
 def render(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    text = out.getvalue()
-    if argv[0] == "check" and text:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "out")
+        argv = [str(path) if arg == OUT else arg for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        text = out.getvalue()
+        if path.exists():
+            text += path.read_text(encoding="utf-8")
+    if argv[0] == "check" and "json" not in argv:
+        text = re.sub(r"worst defect [^,]+,", "worst defect *,", text)
+    elif argv[0] == "check" and text:
         report = json.loads(text)
         text = "".join(
             "%s %s\n" % (r["rule"], json.dumps(r["ok"]))

@@ -1,5 +1,7 @@
 """Unit tests for the spec-file format and the command-line interface."""
 
+import csv
+import io
 import json
 import math
 
@@ -235,6 +237,54 @@ def test_cli_check_catches_false_public_claim(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check", str(path)]) == 3
     assert "public-claim" in capsys.readouterr().out
+
+
+def test_cli_check_csv_is_a_rule_table(tmp_path, capsys):
+    loaded = resolve_spec("npfa_branch")
+    doc = json.loads(serialize_spec(loaded.document))
+    doc["claims"] = {"public": True}
+    path = tmp_path / "liar.spec"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(path), "--format", "csv"]) == 3
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["rule", "ok", "detail"]
+    ok = {rule: flag for rule, flag, _ in rows[1:]}
+    assert ok["wellformed"] == "True"
+    assert ok["public-claim"] == "False"
+    assert ok["interaction-bound"] == ""    # skipped: no bound declared
+    assert len(rows) == 8
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "zero", "--min-len", "-1", "--max-len", "1"], "--min-len"),
+    (["sweep", "zero", "--max-len", "-2"], "--max-len"),
+    (["run", "center", "--input", "0001000", "--max-steps", "-3"],
+     "--max-steps"),
+    (["run", "center", "--input", "0", "--max-steps", "0"], "--max-steps"),
+    (["run", "zero", "--input", "01", "--tape-trunc", "-1"], "--tape-trunc"),
+    (["check", "zero", "--tau", "nan"], "--tau"),
+    (["check", "zero", "--tau", "-1e-9"], "--tau"),
+    (["run", "zero", "--input", "01", "--prune", "inf"], "--prune"),
+    (["run", "zero", "--input", "01", "--prune", "-0.5"], "--prune"),
+    (["check", "zero", "--n-max", "-1"], "--n-max"),
+    (["check", "zero", "--n-max", "two"], "--n-max"),
+])
+def test_cli_rejects_out_of_range_flags(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument %s:" % flag in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_is_an_error_line(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "dir" / "x"
+    code = main(["run", "zero", "--input", "01", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out %s: " % target)
+    assert captured.err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_cli_check_catches_incomplete_table(tmp_path, capsys):
