@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import EngineError, ValidationError
-from .linalg import check_unitary, ensure_finite
+from .linalg import as_integer, check_unitary, ensure_finite
 
 LEFT_END = "^"
 RIGHT_END = "$"
@@ -229,6 +229,14 @@ class VerifierSpec:
                         raise ValidationError(
                             "no head direction for target (%r, %r)" % (q2, g2)
                         )
+        if "suggested_max_steps" in self.metadata:
+            hint = self.metadata["suggested_max_steps"]
+            if not _is_step_budget(hint):
+                raise ValidationError(
+                    "metadata suggested_max_steps must be an integer >= 1 or "
+                    "{\"per_cell\": a, \"base\": b} with integers a, b >= 0, "
+                    "not both 0; got %r" % (hint,)
+                )
         for pair, d in self.head_dir.items():
             if self.two_way:
                 if d not in (-1, 0, 1):
@@ -239,6 +247,20 @@ class VerifierSpec:
                 raise ValidationError(
                     "one-way verifier must move right; got %r at %r" % (d, pair)
                 )
+
+
+def _is_step_budget(hint):
+    """Whether hint budgets at least one step on every input: an integer
+    >= 1, or a linear form {"per_cell": a, "base": b} (an absent key is
+    0) with integers a, b >= 0 that are not both 0.
+    """
+    if isinstance(hint, dict):
+        if not hint or set(hint) - {"per_cell", "base"}:
+            return False
+        terms = [as_integer(v) for v in hint.values()]
+        return all(n is not None and n >= 0 for n in terms) and sum(terms) >= 1
+    n = as_integer(hint)
+    return n is not None and n >= 1
 
 
 def direction_symbol(state, direction):

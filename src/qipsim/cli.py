@@ -181,7 +181,7 @@ def emit(args, document, header, rows, lines):
         writer.writerows([_csv_cell(row[f]) for f in header] for row in rows)
         text = buffer.getvalue()
     else:
-        text = "\n".join(lines) + "\n"
+        text = "".join(line + "\n" for line in lines)
     if not args.out:
         sys.stdout.write(text)
         return

@@ -9,10 +9,13 @@ the ids back to tuples.  One verifier step (_verifier_step, shared by
 run_protocol and run_mcomp) applies the move table of each scanned symbol,
 moves the head and banks the halting mass; the schedule DP and the step
 operator read the same move tables.  The prover acts between verifier
-steps.  One-way runs execute exactly |x| + 2 verifier steps; two-way runs
-stop when the live mass is gone, the halted mass passes the halt target,
-or the step budget runs out.  Truncated and pruned mass are reported as
-residual and pruned, and never renormalized.
+steps; its apply must be a function of (round, comm, tape) alone, since
+the engine calls it once per distinct (comm, tape) in each round and
+reuses that action for every configuration carrying the pair.  One-way
+runs execute exactly |x| + 2 verifier steps; two-way runs stop when the
+live mass is gone, the halted mass passes the halt target, or the step
+budget runs out.  Truncated and pruned mass are reported as residual and
+pruned, and never renormalized.
 """
 
 import time
@@ -182,24 +185,32 @@ def run_protocol(verifier, x, prover=None, cfg=None):
                 break
             if p_acc + p_rej >= halt_target:
                 break
-        # prover round t
+        # prover round t: one action per distinct (comm, tape id), shared
+        # by every configuration that carries that pair
+        actions = {}
         nxt = SparseVector()
         nxt_counts = {} if counts is not None else None
         for (q, k, g, i), a in live.items():
             base = counts[(q, k, g, i)] if counts is not None else 0
-            y = tapes[i]
-            for pamp, g2, y2 in prover.apply(t, g, y):
-                if len(y2) > trunc:
-                    raise BudgetError(
-                        "prover history exceeded the %d-record truncation" % trunc
-                    )
-                if y2 is y:
-                    i2 = i
-                else:
-                    i2 = tape_ids.get(y2)
-                    if i2 is None:
-                        i2 = tape_ids[y2] = len(tapes)
-                        tapes.append(y2)
+            action = actions.get((g, i))
+            if action is None:
+                action = actions[g, i] = []
+                y = tapes[i]
+                for pamp, g2, y2 in prover.apply(t, g, y):
+                    if len(y2) > trunc:
+                        raise BudgetError(
+                            "prover history exceeded the %d-record truncation"
+                            % trunc
+                        )
+                    if y2 is y:
+                        i2 = i
+                    else:
+                        i2 = tape_ids.get(y2)
+                        if i2 is None:
+                            i2 = tape_ids[y2] = len(tapes)
+                            tapes.append(y2)
+                    action.append((pamp, g2, i2))
+            for pamp, g2, i2 in action:
                 key = (q, k, g2, i2)
                 nxt.add(key, a * pamp)
                 if nxt_counts is not None:

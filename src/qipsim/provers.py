@@ -19,6 +19,11 @@ from .linalg import check_unitary, ensure_finite
 class Prover:
     """Interface: apply(round_index, comm, tape) -> [(amp, comm', tape')].
 
+    apply must be a function of (round_index, comm, tape) alone: the
+    prover never sees the verifier's state or head, and the engine calls
+    it once per distinct (comm, tape) in each round, reusing the result
+    for every configuration that carries that pair.
+
     tape_uniform means the action never depends on the history tape
     (beyond appending to it); validators exploit this to avoid walking
     the reachable-tape closure.

@@ -427,6 +427,29 @@ def test_tape_truncation_is_a_budget_error():
     assert full.p_acc == pytest.approx(1.0)
 
 
+def test_prover_runs_once_per_comm_and_tape_per_round():
+    # the prover never sees the verifier's state or head, so every
+    # configuration sharing a (comm, tape) in a round shares one action
+    center = make_bundle("center", {"branches": 4})
+    x = "0001000"
+    writes = center.honest_prover(x).writes
+    calls = []
+
+    def reply(t, g):
+        calls.append((t, g))
+        return writes.get(t, g)
+
+    result = run_protocol(center.verifier, x, HistoryResponder(reply),
+                          EngineConfig(record_steps=True))
+    assert result.p_acc == pytest.approx(1.0)
+    # the prover acts after every step but the last
+    rounds = result.step_records[:result.steps - 1]
+    triples = {(rec.step, g, tape) for rec in rounds
+               for (_, _, g, tape), _ in rec.live}
+    configurations = sum(len(rec.live) for rec in rounds)
+    assert len(calls) == len(triples) < configurations
+
+
 def _reference_run(verifier, x, prover, cfg):
     """run_protocol keyed by the tape tuples themselves, one dict key
     (state, head, comm, tape) per configuration: the reference for the
@@ -507,14 +530,28 @@ def test_interned_tapes_match_the_tuple_keyed_reference(kwargs, data):
     v = complete_verifier(**kwargs)
     rounds = 7
     comm = st.sampled_from(v.comm_alphabet)
-    if data.draw(st.booleans()):
+    kinds = ["schedule", "replies"]
+    if len(v.comm_alphabet) > 1:
+        kinds.append("mixer")
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "schedule":
         prover = MessageSchedule(data.draw(
             st.dictionaries(st.integers(1, rounds), comm)))
-    else:
+    elif kind == "replies":
         replies = data.draw(st.dictionaries(
             st.tuples(st.integers(1, rounds), comm), comm))
         prover = HistoryResponder(
             lambda t, g: replies.get((t, g), g), prover_id="replies")
+    else:
+        # a Hadamard on two comm symbols, the second possibly with a new
+        # tape: one cached action then holds two outputs
+        a, b = data.draw(st.permutations(v.comm_alphabet))[:2]
+        s = 1.0 / math.sqrt(2.0)
+        ops = {}
+        for r in data.draw(st.sets(st.integers(1, rounds), min_size=1)):
+            tape = ((r, a),) if data.draw(st.booleans()) else ()
+            ops[r] = ([(a, ()), (b, tape)], [[s, s], [s, -s]])
+        prover = ExplicitRoundProver(ops, prover_id="mixer")
     for x in SHORT_INPUTS:
         for prune in (0.0, 1e-3):
             cfg = EngineConfig(prune=prune, max_steps=rounds + 1,

@@ -375,6 +375,44 @@ def test_missing_head_direction_is_a_validation_error(tmp_path, capsys):
     assert "no head direction given for target" in capsys.readouterr().err
 
 
+def _center_spec_with_step_hint(tmp_path, hint):
+    doc = verifier_document(make_bundle("center", {"branches": 2}).verifier)
+    doc["metadata"]["suggested_max_steps"] = hint
+    path = tmp_path / "step_hint.spec"
+    path.write_text(serialize_spec(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("hint", [
+    {"per_cell": "x"}, -3, {"per_cell": -5}, True, "12", 0, 2.5, None, [12],
+    {}, {"base": 0, "per_cell": 0}, {"base": -1, "per_cell": 3},
+    {"per_cell": 3, "steps": 9},
+], ids=["per-cell-string", "negative", "per-cell-negative", "bool",
+        "string", "zero", "fraction", "null", "list", "empty-form",
+        "zero-form", "negative-base", "unknown-key"])
+def test_bad_suggested_max_steps_is_a_validation_error(hint, tmp_path,
+                                                        capsys):
+    spec = _center_spec_with_step_hint(tmp_path, hint)
+    assert main(["run", spec, "--input", "010"]) == 3
+    err = capsys.readouterr().err
+    assert "metadata suggested_max_steps must be an integer >= 1" in err
+    # the spec file writes keys in sorted order, as the hints list them
+    assert "got %r" % (hint,) in err
+
+
+@pytest.mark.parametrize("hint,steps", [
+    (12, 12), (12.0, 12), ({"per_cell": 2}, 10), ({"base": 7.0}, 7),
+    ({"base": 2, "per_cell": 1}, 7),
+])
+def test_suggested_max_steps_forms_set_the_budget(hint, steps, tmp_path,
+                                                  capsys):
+    # the run with the identity prover halts after 13 steps, so each of
+    # these budgets runs out
+    spec = _center_spec_with_step_hint(tmp_path, hint)
+    assert main(["run", spec, "--input", "010", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["steps"] == steps
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.spec"
     path.write_text('{"format": "qip-spec-1"', encoding="utf-8")
@@ -390,6 +428,20 @@ def test_cli_sweep_zero_nonmembers(capsys):
     assert len(rows) == 8  # "", 1, 01, 11, 001, 011, 101, 111
     for row in rows:
         assert row["p_acc_upper"] == 0
+
+
+@pytest.mark.parametrize("fmt,out", [
+    ("text", ""),
+    ("json", "[]\n"),
+    ("csv", "input,prover_id,p_acc_lower,p_acc_upper,p_rej_lower,"
+            "interactions,steps,wallclock\n"),
+])
+def test_cli_empty_report_prints_no_text_lines(fmt, out, capsys):
+    # the empty input is the only word up to length 0, and it is no member
+    code = main(["sweep", "zero", "--max-len", "0", "--only", "members",
+                 "--format", fmt])
+    assert code == 0
+    assert capsys.readouterr().out == out
 
 
 def _count_calls(monkeypatch, module, name):
