@@ -11,11 +11,14 @@ moves the head and banks the halting mass; the schedule DP and the step
 operator read the same move tables.  The prover acts between verifier
 steps; its apply must be a function of (round, comm, tape) alone, since
 the engine calls it once per distinct (comm, tape) in each round and
-reuses that action for every configuration carrying the pair.  One-way
-runs execute exactly |x| + 2 verifier steps; two-way runs stop when the
-live mass is gone, the halted mass passes the halt target, or the step
-budget runs out.  Truncated and pruned mass are reported as residual and
-pruned, and never renormalized.
+reuses that action for every configuration carrying the pair.  Every
+run stops simulating at the step whose halting projection (and prune)
+empties the live vector: under measure-many semantics no later step can
+bank any mass.  A one-way run still reports |x| + 2 steps; the steps it
+skips have empty step records with query mass 0.  Two-way runs also stop
+when the halted mass passes the halt target or the step budget runs out.
+Truncated and pruned mass are reported as residual and pruned, and never
+renormalized.
 """
 
 import time
@@ -44,15 +47,20 @@ class EngineConfig:
 
 
 def resolve_max_steps(verifier, x, cfg=None):
-    """Step budget: one-way runs take exactly |x| + 2 steps; two-way runs
-    honour an explicit override, then the verifier's suggested linear
-    form, then a 4*(|x|+2) default.
+    """Step budget: one-way runs report exactly |x| + 2 steps; two-way
+    runs honour an explicit override, then the verifier's suggested
+    linear form, then a 4*(|x|+2) default.  An override below 1 raises
+    EngineError; the verifier's own hint is checked when it is built.
     """
     cells = len(x) + 2
     if not verifier.two_way:
         return cells
     if cfg is not None and cfg.max_steps is not None:
-        return int(cfg.max_steps)
+        budget = int(cfg.max_steps)
+        if budget < 1:
+            raise EngineError(
+                "two-way step budget must be >= 1, got %d" % budget)
+        return budget
     hint = verifier.metadata.get("suggested_max_steps")
     if isinstance(hint, dict):
         return int(hint.get("per_cell", 0)) * cells + int(hint.get("base", 0))
@@ -125,6 +133,17 @@ def _verifier_step(verifier, cells, live, counts):
     return survivors, accepted, rejected, query_mass, nxt_counts
 
 
+def _pad_empty_steps(records, done, steps, p_acc, p_rej):
+    """Append the records of the steps done+1..steps that a one-way run
+    skipped once its live vector was empty; nothing when records is None.
+    """
+    if records is not None:
+        records.extend(
+            StepRecord(step=u, live=[], p_acc=p_acc, p_rej=p_rej,
+                       query_mass=0.0)
+            for u in range(done + 1, steps + 1))
+
+
 def run_protocol(verifier, x, prover=None, cfg=None):
     """Simulate one interactive run and return a RunResult."""
     cfg = cfg or EngineConfig()
@@ -180,11 +199,10 @@ def run_protocol(verifier, x, prover=None, cfg=None):
         if t == max_steps:
             budget_exhausted = bool(live) and verifier.two_way
             break
-        if verifier.two_way:
-            if not live:
-                break
-            if p_acc + p_rej >= halt_target:
-                break
+        if not live:
+            break
+        if verifier.two_way and p_acc + p_rej >= halt_target:
+            break
         # prover round t: one action per distinct (comm, tape id), shared
         # by every configuration that carries that pair
         actions = {}
@@ -220,6 +238,9 @@ def run_protocol(verifier, x, prover=None, cfg=None):
         if counts is not None:
             counts = nxt_counts
 
+    if not verifier.two_way:
+        _pad_empty_steps(records, steps, max_steps, p_acc, p_rej)
+        steps = max_steps
     return RunResult(
         input=x, prover_id=prover.prover_id, p_acc=p_acc, p_rej=p_rej,
         residual=live.norm_sq(), steps=steps,
@@ -260,7 +281,9 @@ def run_mcomp(verifier, x, cfg=None):
     step's query mass, then that component is projected out (discarded,
     not renormalized).  Only one-way verifiers are supported.  The masses
     list starts with a step-0 entry of 0; pruned is the mass the prune
-    threshold dropped from the blank-comm survivors.
+    threshold dropped from the blank-comm survivors.  The run reports
+    |x| + 2 steps but stops simulating at the step that empties the live
+    vector; each skipped step has mass 0.0 and an empty step record.
     """
     if verifier.two_way:
         raise EngineError(
@@ -289,6 +312,11 @@ def run_mcomp(verifier, x, cfg=None):
                 step=t, live=sorted((key[:3], a) for key, a in live.items()),
                 p_acc=p_acc, p_rej=p_rej, query_mass=query_mass,
             ))
+        if not live:
+            break
+    done = len(masses) - 1
+    masses.extend([0.0] * (max_steps - done))
+    _pad_empty_steps(records, done, max_steps, p_acc, p_rej)
     return MCompTrace(
         input=x, masses=masses, p_acc=p_acc, p_rej=p_rej,
         residual=live.norm_sq(), steps=max_steps, pruned=pruned,

@@ -524,11 +524,9 @@ def _assert_same_run(got, want):
         assert repr(getattr(got, name)) == repr(getattr(want, name))
 
 
-@settings(max_examples=60, deadline=None)
-@given(core_tables(two_way=True, splits=(0.5, 1e-8)), st.data())
-def test_interned_tapes_match_the_tuple_keyed_reference(kwargs, data):
-    v = complete_verifier(**kwargs)
-    rounds = 7
+def _draw_prover(data, v, rounds):
+    """A message schedule, a history responder or a comm mixer acting in
+    rounds 1..rounds."""
     comm = st.sampled_from(v.comm_alphabet)
     kinds = ["schedule", "replies"]
     if len(v.comm_alphabet) > 1:
@@ -552,6 +550,15 @@ def test_interned_tapes_match_the_tuple_keyed_reference(kwargs, data):
             tape = ((r, a),) if data.draw(st.booleans()) else ()
             ops[r] = ([(a, ()), (b, tape)], [[s, s], [s, -s]])
         prover = ExplicitRoundProver(ops, prover_id="mixer")
+    return prover
+
+
+@settings(max_examples=60, deadline=None)
+@given(core_tables(two_way=True, splits=(0.5, 1e-8)), st.data())
+def test_interned_tapes_match_the_tuple_keyed_reference(kwargs, data):
+    v = complete_verifier(**kwargs)
+    rounds = 7
+    prover = _draw_prover(data, v, rounds)
     for x in SHORT_INPUTS:
         for prune in (0.0, 1e-3):
             cfg = EngineConfig(prune=prune, max_steps=rounds + 1,
@@ -600,3 +607,96 @@ def test_step_records_list_tapes_in_tape_order():
     _assert_same_run(got, _reference_run(v, "0", prover, cfg))
     assert [key[3] for key, _ in got.step_records[1].live] == [
         ((1, "a"),), ((1, "b"),)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(core_tables(two_way=False, splits=(0.5, 1e-8)), st.data())
+def test_one_way_runs_match_the_reference_that_steps_every_cell(kwargs,
+                                                                 data):
+    # the engine stops simulating once the live vector is empty; the
+    # reference steps through the empty tail
+    v = complete_verifier(**kwargs)
+    prover = _draw_prover(data, v, rounds=3)
+    for x in SHORT_INPUTS:
+        for prune in (0.0, 1e-3):
+            cfg = EngineConfig(prune=prune, record_steps=True,
+                               count_interactions=True,
+                               check_conservation=True)
+            _assert_same_run(run_protocol(v, x, prover, cfg),
+                             _reference_run(v, x, prover, cfg))
+
+
+def _reference_mcomp(verifier, x, cfg):
+    """run_mcomp stepping every cell, also after the live vector empties."""
+    cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
+    live = SparseVector({(verifier.initial, 0, BLANK, ()): 1.0 + 0j})
+    masses = [0.0]
+    p_acc = p_rej = pruned = 0.0
+    records = []
+    for t in range(1, len(cells) + 1):
+        live, accepted, rejected, query_mass, _ = engine._verifier_step(
+            verifier, cells, live, None)
+        p_acc += accepted
+        p_rej += rejected
+        live = SparseVector(
+            (key, a) for key, a in live.items() if key[2] == BLANK)
+        pruned += live.prune(cfg.prune)
+        masses.append(query_mass)
+        records.append(engine.StepRecord(
+            step=t, live=sorted((key[:3], a) for key, a in live.items()),
+            p_acc=p_acc, p_rej=p_rej, query_mass=query_mass,
+        ))
+    return engine.MCompTrace(
+        input=x, masses=masses, p_acc=p_acc, p_rej=p_rej,
+        residual=live.norm_sq(), steps=len(cells), pruned=pruned,
+        step_records=records,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(core_tables(two_way=False, splits=(0.5, 1e-8)))
+def test_mcomp_matches_the_reference_that_steps_every_cell(kwargs):
+    v = complete_verifier(**kwargs)
+    for x in SHORT_INPUTS:
+        for prune in (0.0, 1e-3):
+            cfg = EngineConfig(prune=prune, record_steps=True)
+            got = run_mcomp(v, x, cfg)
+            want = _reference_mcomp(v, x, cfg)
+            for name in ("masses", "p_acc", "p_rej", "residual", "pruned",
+                         "steps", "step_records"):
+                assert repr(getattr(got, name)) == repr(getattr(want, name))
+
+
+def test_one_way_runs_do_not_simulate_the_empty_tail(odd, monkeypatch):
+    # every branch of odd on 0101 halts at step 4; steps 5 and 6 are
+    # reported with empty records but never stepped
+    calls = []
+    body = engine._verifier_step
+
+    def counted(*args):
+        calls.append(1)
+        return body(*args)
+
+    monkeypatch.setattr(engine, "_verifier_step", counted)
+    r = run_protocol(odd.verifier, "0101", IdentityProver(),
+                     EngineConfig(record_steps=True))
+    assert r.steps == 6
+    assert not r.budget_exhausted
+    assert [len(rec.live) for rec in r.step_records] == [1, 1, 1, 0, 0, 0]
+    assert [rec.query_mass for rec in r.step_records[3:]] == [0.0] * 3
+    assert len(calls) == 4
+    calls.clear()
+    trace = run_mcomp(odd.verifier, "0101", EngineConfig(record_steps=True))
+    assert len(trace.masses) == len("0101") + 3
+    assert trace.masses == pytest.approx([0.0, 0.0, 0.0, 1.0, 0, 0, 0],
+                                         abs=1e-12)
+    assert trace.steps == 6 and len(trace.step_records) == 6
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("budget", [0, -2])
+def test_two_way_step_budget_below_one_is_an_engine_error(budget):
+    center = make_bundle("center", {"branches": 2})
+    with pytest.raises(EngineError, match="step budget must be >= 1"):
+        run_protocol(center.verifier, "010", center.honest_prover("010"),
+                     EngineConfig(max_steps=budget))
