@@ -1,35 +1,61 @@
 """Simulation engine for verifier-prover runs.
 
 Global configurations are (state, head, comm, tape) tuples carried in a
-sparse amplitude vector.  run_protocol interns each distinct prover
-history tape once per run and keys its configurations by the tape's
-small integer id, so a key hashes in O(1) however long the history
-grows; provers still see and return tape tuples, and step records map
-the ids back to tuples.  One verifier step (_verifier_step, shared by
-run_protocol and run_mcomp) applies the move table of each scanned symbol,
-moves the head and banks the halting mass; the schedule DP and the step
-operator read the same move tables.  The prover acts between verifier
-steps; its apply must be a function of (round, comm, tape) alone, since
-the engine calls it once per distinct (comm, tape) in each round and
-reuses that action for every configuration carrying the pair.  Every
-run stops simulating at the step whose halting projection (and prune)
-empties the live vector: under measure-many semantics no later step can
-bank any mass.  A one-way run still reports |x| + 2 steps; the steps it
-skips have empty step records with query mass 0.  Two-way runs also stop
-when the halted mass passes the halt target or the step budget runs out.
-Truncated and pruned mass are reported as residual and pruned, and never
-renormalized.
+sparse amplitude vector.  A run lives in a RunState, and run_protocol is
+a loop over its methods:
+
+- verifier_step() takes the next verifier step (_verifier_step, shared
+  with run_mcomp), banks the halting mass, prunes, runs the conservation
+  check and appends the step record; it returns whether a prover round
+  follows;
+- prover_round(prover) lets the prover act on every live configuration;
+- fork() copies the state, so two continuations of one prefix each go
+  their own way; forks share the run's tape table.
+
+The tape table interns each distinct prover history tape once and keys
+configurations by the tape's small integer id, so a key hashes in O(1)
+however long the history grows.  A tape is entered as its parent's id
+plus one new record: a prover whose apply is HistoryResponder.apply (all
+responders and message schedules) is asked for its reply and record
+through HistoryResponder.respond, and the engine looks the extended
+tape up by (parent id, record), never hashing the whole tape.  Other
+provers still see and return tape tuples.  A tape they return is entered
+record by record from the id of the tape passed in when it extends that
+tape, from the empty tape otherwise, and the table keeps the prover's
+own tuple, so a tuple handed back in a later round is found by identity.
+Step records map the ids back to tuples.
+
+The move tables are the ones the schedule DP and the step operator read.
+The prover acts between verifier steps; its apply must be a function of
+(round, comm, tape) alone, since the engine calls it once per distinct
+(comm, tape) in each round and reuses that action for every
+configuration carrying the pair.  Every run stops simulating at the step
+whose halting projection (and prune) empties the live vector: under
+measure-many semantics no later step can bank any mass.  A one-way run
+still reports |x| + 2 steps; the steps it skips have empty step records
+with query mass 0.  Two-way runs also stop when the halted mass passes
+the halt target or the step budget runs out.  Truncated and pruned mass
+are reported as residual and pruned, and never renormalized.
+
+Schedule enumeration walks the schedule trie depth first, in
+enumerate_schedules order, forking the run state once per option in
+each prover round.  Where a run stops (empty live vector, or the last
+step), every schedule below that node gives the same run, so the subtree
+is counted, not simulated; runs still counts schedules.  The best
+schedule is rerun with the caller's EngineConfig to give the witness.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .automata import (
     BLANK, padded_input,
 )
 from .errors import BudgetError, EngineError, FamilyInadequacyError
 from .linalg import SparseVector
-from .provers import IdentityProver, MessageSchedule, enumerate_schedules
+from .provers import (
+    HistoryResponder, IdentityProver, MessageSchedule, schedule_options,
+)
 
 
 @dataclass
@@ -144,111 +170,203 @@ def _pad_empty_steps(records, done, steps, p_acc, p_rej):
             for u in range(done + 1, steps + 1))
 
 
-def run_protocol(verifier, x, prover=None, cfg=None):
-    """Simulate one interactive run and return a RunResult."""
-    cfg = cfg or EngineConfig()
-    prover = prover or IdentityProver()
-    cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
-    max_steps = resolve_max_steps(verifier, x, cfg)
-    trunc = cfg.tape_trunc if cfg.tape_trunc is not None else max_steps + 2
-    halt_target = (
-        cfg.halt_mass_target if cfg.halt_mass_target is not None
-        else 1.0 - 0.5 * cfg.tau
-    )
-    started = time.perf_counter()
+class RunState:
+    """One run between its steps: live, counts, p_acc, p_rej, pruned,
+    records, the step t last taken and the tape table.  run_protocol is
+    a loop over it; schedule enumeration forks it.
 
-    # configurations carry a tape id: tapes[id] is the tape, tape_ids its
-    # inverse
-    tapes = [()]
-    tape_ids = {(): 0}
-    live = SparseVector({(verifier.initial, 0, BLANK, 0): 1.0 + 0j})
-    counts = {(verifier.initial, 0, BLANK, 0): 0} if cfg.count_interactions else None
-    p_acc = 0.0
-    p_rej = 0.0
-    pruned_mass = 0.0
-    max_queries = 0
-    records = [] if cfg.record_steps else None
-    steps = 0
-    budget_exhausted = False
+    verifier_step() advances t and takes verifier step t, and tells
+    whether prover round t follows; prover_round(prover) applies the
+    prover's round t; fork() gives an independent copy that shares the
+    tape table; result(prover) is the RunResult of the finished run.
+    Both steps replace live and counts rather than change them, so a
+    fork shares them until it steps and copies only the step records.
+    """
 
-    for t in range(1, max_steps + 1):
-        steps = t
+    def __init__(self, verifier, x, cfg):
+        self.verifier = verifier
+        self.x = x
+        self.cfg = cfg
+        self.cells = [verifier.moves[s]
+                      for s in padded_input(x, verifier.input_alphabet)]
+        self.max_steps = resolve_max_steps(verifier, x, cfg)
+        self.trunc = (cfg.tape_trunc if cfg.tape_trunc is not None
+                      else self.max_steps + 2)
+        self.halt_target = (
+            cfg.halt_mass_target if cfg.halt_mass_target is not None
+            else 1.0 - 0.5 * cfg.tau
+        )
+        # the tape table, shared by every fork: configurations carry the
+        # id i of their tape tapes[i], and tape_ids maps (parent id, new
+        # record) to the id of the parent's tape extended by that record
+        self.tapes = [()]
+        self.tape_ids = {}
+        start = (verifier.initial, 0, BLANK, 0)
+        self.live = SparseVector({start: 1.0 + 0j})
+        self.counts = {start: 0} if cfg.count_interactions else None
+        self.p_acc = 0.0
+        self.p_rej = 0.0
+        self.pruned = 0.0
+        self.max_queries = 0
+        self.records = [] if cfg.record_steps else None
+        self.t = 0
+        self.budget_exhausted = False
+        self.started = time.perf_counter()
+
+    def verifier_step(self):
+        """Verifier step t + 1 with its halting projection and prune, the
+        interaction counts, the conservation check and the step record.
+        Returns whether a prover round follows: False once the step
+        budget is spent, the live vector is empty or, on a two-way run,
+        the halted mass reaches the halt target.
+        """
+        self.t = t = self.t + 1
+        cfg = self.cfg
         live, accepted, rejected, query_mass, nxt_counts = _verifier_step(
-            verifier, cells, live, counts)
-        p_acc += accepted
-        p_rej += rejected
-        pruned_mass += live.prune(cfg.prune)
-        if counts is not None:
-            counts = {
+            self.verifier, self.cells, self.live, self.counts)
+        self.live = live
+        self.p_acc += accepted
+        self.p_rej += rejected
+        self.pruned += live.prune(cfg.prune)
+        if self.counts is not None:
+            self.counts = counts = {
                 key: c for key, c in nxt_counts.items() if key in live
             }
             if counts:
-                max_queries = max(max_queries, max(counts.values()))
+                self.max_queries = max(self.max_queries, max(counts.values()))
         if cfg.check_conservation:
-            total = p_acc + p_rej + live.norm_sq() + pruned_mass
+            total = self.p_acc + self.p_rej + live.norm_sq() + self.pruned
             if abs(total - 1.0) > cfg.tau:
                 raise EngineError(
                     "probability not conserved at step %d: total %.12g" % (t, total)
                 )
-        if records is not None:
-            records.append(StepRecord(
+        if self.records is not None:
+            tapes = self.tapes
+            self.records.append(StepRecord(
                 step=t, live=sorted(((q, k, g, tapes[i]), a)
                                     for (q, k, g, i), a in live.items()),
-                p_acc=p_acc, p_rej=p_rej, query_mass=query_mass,
+                p_acc=self.p_acc, p_rej=self.p_rej, query_mass=query_mass,
             ))
-        if t == max_steps:
-            budget_exhausted = bool(live) and verifier.two_way
-            break
+        if t == self.max_steps:
+            self.budget_exhausted = bool(live) and self.verifier.two_way
+            return False
         if not live:
-            break
-        if verifier.two_way and p_acc + p_rej >= halt_target:
-            break
-        # prover round t: one action per distinct (comm, tape id), shared
-        # by every configuration that carries that pair
+            return False
+        return not (self.verifier.two_way
+                    and self.p_acc + self.p_rej >= self.halt_target)
+
+    def prover_round(self, prover):
+        """Prover round t: one action per distinct (comm, tape id), shared
+        by every configuration that carries that pair.
+        """
+        t = self.t
+        live = self.live
+        counts = self.counts
         actions = {}
         nxt = SparseVector()
         nxt_counts = {} if counts is not None else None
-        for (q, k, g, i), a in live.items():
-            base = counts[(q, k, g, i)] if counts is not None else 0
+        for key, a in live.items():
+            q, k, g, i = key
             action = actions.get((g, i))
             if action is None:
-                action = actions[g, i] = []
-                y = tapes[i]
-                for pamp, g2, y2 in prover.apply(t, g, y):
-                    if len(y2) > trunc:
-                        raise BudgetError(
-                            "prover history exceeded the %d-record truncation"
-                            % trunc
-                        )
-                    if y2 is y:
-                        i2 = i
-                    else:
-                        i2 = tape_ids.get(y2)
-                        if i2 is None:
-                            i2 = tape_ids[y2] = len(tapes)
-                            tapes.append(y2)
-                    action.append((pamp, g2, i2))
+                action = actions[g, i] = self._action(prover, t, g, i)
+            base = counts[key] if counts is not None else 0
             for pamp, g2, i2 in action:
-                key = (q, k, g2, i2)
-                nxt.add(key, a * pamp)
+                key2 = (q, k, g2, i2)
+                nxt.add(key2, a * pamp)
                 if nxt_counts is not None:
-                    nxt_counts[key] = max(nxt_counts.get(key, -1), base)
-        pruned_mass += nxt.prune(cfg.prune)
-        live = nxt
+                    nxt_counts[key2] = max(nxt_counts.get(key2, -1), base)
+        self.pruned += nxt.prune(self.cfg.prune)
+        self.live = nxt
         if counts is not None:
-            counts = nxt_counts
+            self.counts = nxt_counts
 
-    if not verifier.two_way:
-        _pad_empty_steps(records, steps, max_steps, p_acc, p_rej)
-        steps = max_steps
-    return RunResult(
-        input=x, prover_id=prover.prover_id, p_acc=p_acc, p_rej=p_rej,
-        residual=live.norm_sq(), steps=steps,
-        interactions=max_queries if cfg.count_interactions else None,
-        budget_exhausted=budget_exhausted,
-        step_records=records, wallclock=time.perf_counter() - started,
-        pruned=pruned_mass,
-    )
+    def _action(self, prover, t, g, i):
+        """The prover's round-t action on (comm g, tape id i) as
+        [(amp, comm', tape id')], each output tape checked against the
+        truncation.  A prover acting as HistoryResponder.apply is asked
+        for its reply and record, and the record is appended by id.
+        """
+        y = self.tapes[i]
+        if type(prover).apply is HistoryResponder.apply:
+            reply, record = prover.respond(t, g)
+            if len(y) + (record is not None) > self.trunc:
+                raise _truncation_error(self.trunc)
+            return [(1.0, reply, i if record is None
+                     else self._tape_id(i, record))]
+        action = []
+        for pamp, g2, y2 in prover.apply(t, g, y):
+            if len(y2) > self.trunc:
+                raise _truncation_error(self.trunc)
+            i2 = i
+            if y2 is not y:
+                # a tape that extends y is entered from y's id, any other
+                # from the empty tape, one record at a time
+                start = len(y)
+                if y2[:start] != y:
+                    start = i2 = 0
+                for record in y2[start:]:
+                    i2 = self._tape_id(i2, record)
+                # keep the prover's own tuple: when it hands that tuple
+                # back next round, the identity test above catches it
+                self.tapes[i2] = y2
+            action.append((pamp, g2, i2))
+        return action
+
+    def _tape_id(self, i, record):
+        """The id of tapes[i] + (record,), entered on first use: a logged
+        tape is found by one small (id, record) key, never hashed whole.
+        """
+        key = (i, record)
+        j = self.tape_ids.get(key)
+        if j is None:
+            j = self.tape_ids[key] = len(self.tapes)
+            self.tapes.append(self.tapes[i] + (record,))
+        return j
+
+    def fork(self):
+        """An independent copy of this state; the tape table is shared."""
+        twin = object.__new__(RunState)
+        twin.__dict__.update(self.__dict__)
+        if self.records is not None:
+            twin.records = list(self.records)
+        return twin
+
+    def result(self, prover):
+        """The RunResult of this finished run, made with prover.  A
+        one-way run reports |x| + 2 steps: its skipped steps get empty
+        records.
+        """
+        steps = self.t
+        if not self.verifier.two_way:
+            _pad_empty_steps(self.records, steps, self.max_steps,
+                             self.p_acc, self.p_rej)
+            steps = self.max_steps
+        return RunResult(
+            input=self.x, prover_id=prover.prover_id, p_acc=self.p_acc,
+            p_rej=self.p_rej, residual=self.live.norm_sq(), steps=steps,
+            interactions=(self.max_queries if self.cfg.count_interactions
+                          else None),
+            budget_exhausted=self.budget_exhausted,
+            step_records=self.records,
+            wallclock=time.perf_counter() - self.started,
+            pruned=self.pruned,
+        )
+
+
+def _truncation_error(trunc):
+    return BudgetError(
+        "prover history exceeded the %d-record truncation" % trunc)
+
+
+def run_protocol(verifier, x, prover=None, cfg=None):
+    """Simulate one interactive run and return a RunResult."""
+    cfg = cfg or EngineConfig()
+    prover = prover or IdentityProver()
+    state = RunState(verifier, x, cfg)
+    while state.verifier_step():
+        state.prover_round(prover)
+    return state.result(prover)
 
 
 def interaction_count(verifier, x, prover, cfg=None):
@@ -461,9 +579,18 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
     methods and committed_only are one-way options; passing them for a
     two-way verifier raises EngineError.
 
+    method="enumeration" is the brute-force oracle for the one-way
+    optimum.  It walks the schedule trie depth first, in
+    enumerate_schedules order, forking the run once per option in each
+    prover round; a subtree whose live vector is empty (or that ends at
+    the last step) is counted, not simulated.  runs still counts every
+    schedule, the first maximiser wins, and every fork keeps the plain
+    run's checks: conservation, prune, tape truncation, and the family
+    budget before any step.
+
     The sweep's witness is the run attaining best_p, made with cfg: the
-    DP's reconstructed schedule, enumeration's best run, or the family
-    witness under announced dominance.
+    DP's reconstructed schedule, enumeration's best schedule rerun once,
+    or the family witness under announced dominance.
     """
     cfg = cfg or EngineConfig()
     if method not in ("auto", "dp", "enumeration"):
@@ -548,20 +675,48 @@ def _schedule_dp(verifier, x, cfg, committed_only):
 
 
 def _schedule_enumeration(verifier, x, cfg, committed_only, budget):
-    witness = None
-    runs = 0
+    """Walk the schedule trie depth first, in enumerate_schedules order.
+
+    A node is a run state after a verifier step; its children are the
+    forks that take one option each in the next prover round.  Where a
+    run stops (live vector empty, or the last step), every schedule
+    below the node gives the same run: they are counted, not run, and
+    the first of them (no later writes) stands for them.  The first
+    maximiser wins; it is rerun with cfg to give the witness.
+    """
     rounds = len(x) + 1
-    for schedule in enumerate_schedules(
-            verifier.comm_alphabet, rounds,
-            committed_only=committed_only, budget=budget):
-        result = run_protocol(verifier, x, schedule, cfg)
-        runs += 1
-        if witness is None or result.p_acc > witness.p_acc:
-            witness = result
-            best_writes = dict(schedule.writes)
+    options = schedule_options(verifier.comm_alphabet, rounds,
+                               committed_only=committed_only, budget=budget)
+    # in round t the schedule writing s every round acts as any
+    # schedule whose round-t option is s
+    provers = [MessageSchedule({} if s is None
+                               else dict.fromkeys(range(1, rounds + 1), s))
+               for s in options]
+    last = len(options) - 1
+    walk_cfg = replace(cfg, record_steps=False, count_interactions=False)
+    best_p = best_writes = None
+    runs = 0
+    # (state, prover of the round before its next step, writes so far);
+    # a state is forked when its children are pushed, before any steps
+    stack = [(RunState(verifier, x, walk_cfg), None, {})]
+    while stack:
+        state, prover, writes = stack.pop()
+        if prover is not None:
+            state.prover_round(prover)
+        if not state.verifier_step():
+            runs += len(options) ** (rounds - state.t + 1)
+            if best_p is None or state.p_acc > best_p:
+                best_p, best_writes = state.p_acc, writes
+            continue
+        t = state.t
+        for j in range(last, -1, -1):
+            s = options[j]
+            stack.append((state if j == last else state.fork(), provers[j],
+                          writes if s is None else {**writes, t: s}))
     return ScheduleSweep(
-        input=x, best_p=float(witness.p_acc), schedule=best_writes,
-        exact=True, method="enumeration", runs=runs, witness=witness,
+        input=x, best_p=float(best_p), schedule=best_writes,
+        exact=True, method="enumeration", runs=runs,
+        witness=run_protocol(verifier, x, MessageSchedule(best_writes), cfg),
     )
 
 

@@ -50,17 +50,27 @@ class HistoryResponder(Prover):
 
     The observed symbol is recorded into the tape slot for this round
     before the reply overwrites the comm cell; blank observations leave
-    the tape untouched.
+    the tape untouched.  respond gives the same action without the tape:
+    the engine steps every prover whose apply is this class's through
+    respond, and appends the record to the tape by the tape's id, so it
+    never hashes a whole history tape.
     """
 
     def __init__(self, reply, prover_id="responder"):
         self.reply = reply
         self.prover_id = prover_id
 
+    def respond(self, round_index, comm):
+        """(reply, record): the symbol written back and the record this
+        round appends to the tape, None for a blank observation.
+        """
+        record = (round_index, comm) if comm != BLANK else None
+        return self.reply(round_index, comm), record
+
     def apply(self, round_index, comm, tape):
-        out_comm = self.reply(round_index, comm)
-        if comm != BLANK:
-            tape = tape + ((round_index, comm),)
+        out_comm, record = self.respond(round_index, comm)
+        if record is not None:
+            tape = tape + (record,)
         return [(1.0, out_comm, tape)]
 
 
@@ -216,13 +226,12 @@ def check_committed(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
                         rounds_checked=checked)
 
 
-def enumerate_schedules(comm_alphabet, rounds, committed_only=False,
-                        budget=200000):
-    """All fixed message schedules over the given number of rounds.
-
-    Each round independently either leaves the comm cell alone or writes
-    one symbol; committed_only restricts writes to the blank (erasure).
-    Raises BudgetError when the family size exceeds the budget.
+def schedule_options(comm_alphabet, rounds, committed_only=False,
+                     budget=200000):
+    """The per-round options of the fixed message schedules: None leaves
+    the comm cell alone, a symbol writes it; committed_only restricts
+    writes to the blank (erasure).  Raises BudgetError when the family,
+    len(options) ** rounds schedules, exceeds the budget.
     """
     if committed_only:
         options = [None, BLANK]
@@ -234,6 +243,17 @@ def enumerate_schedules(comm_alphabet, rounds, committed_only=False,
             "schedule family has %d members, over the %d budget"
             % (total, budget)
         )
+    return options
+
+
+def enumerate_schedules(comm_alphabet, rounds, committed_only=False,
+                        budget=200000):
+    """All fixed message schedules over the given number of rounds, each
+    round taking one of schedule_options in turn, the first round
+    varying slowest.  Raises BudgetError (on the first next()) when the
+    family size exceeds the budget.
+    """
+    options = schedule_options(comm_alphabet, rounds, committed_only, budget)
     for combo in itertools.product(options, repeat=rounds):
         writes = {
             t + 1: s for t, s in enumerate(combo) if s is not None

@@ -517,6 +517,28 @@ def _reference_run(verifier, x, prover, cfg):
     )
 
 
+def _reference_enumeration(verifier, x, cfg, committed_only=False,
+                           budget=200000):
+    """best_schedule_acceptance(method="enumeration") as one run_protocol
+    per enumerated schedule: the reference for the engine's trie walk.
+    """
+    engine._require_schedule_adequacy(verifier)
+    witness = None
+    runs = 0
+    for schedule in enumerate_schedules(
+            verifier.comm_alphabet, len(x) + 1,
+            committed_only=committed_only, budget=budget):
+        result = run_protocol(verifier, x, schedule, cfg)
+        runs += 1
+        if witness is None or result.p_acc > witness.p_acc:
+            witness = result
+            best_writes = dict(schedule.writes)
+    return engine.ScheduleSweep(
+        input=x, best_p=float(witness.p_acc), schedule=best_writes,
+        exact=True, method="enumeration", runs=runs, witness=witness,
+    )
+
+
 def _assert_same_run(got, want):
     # repr is exact for floats and complexes, and tells -0.0 from 0.0
     for name in ("p_acc", "p_rej", "residual", "pruned", "interactions",
@@ -587,6 +609,38 @@ def test_interned_tapes_match_the_reference_on_interfering_runs(
                 _assert_same_run(
                     run_protocol(bundle.verifier, x, prover, cfg),
                     _reference_run(bundle.verifier, x, prover, cfg))
+
+
+def test_a_prover_tape_is_entered_once_and_then_found_by_identity(zero):
+    # an explicit prover swaps in a 3-record basis tape, then a 6-record
+    # one extending it, then a 1-record one that extends neither, and
+    # hands that tuple back every later round
+    v = zero.verifier
+    x = "1010"
+    short = ((1, "m"), (2, "m"), (3, "m"))
+    long_ = short + ((4, "m"), (5, "m"), (6, "m"))
+    other = ((1, "z"),)
+    comms = sorted(v.comm_alphabet, key=str)
+    n = len(comms)
+    swap = [[float(abs(a - b) == n) for b in range(2 * n)]
+            for a in range(2 * n)]
+    ops = {}
+    for r, (y, y2) in enumerate([((), short), (short, long_),
+                                 (long_, other)], start=1):
+        ops[r] = ([(g, y) for g in comms] + [(g, y2) for g in comms], swap)
+    for r in range(4, len(x) + 2):
+        ops[r] = ([(g, other) for g in comms],
+                  [[float(a == b) for b in range(n)] for a in range(n)])
+    prover = ExplicitRoundProver(ops, prover_id="explicit")
+    cfg = EngineConfig(record_steps=True, count_interactions=True)
+    state = engine.RunState(v, x, cfg)
+    while state.verifier_step():
+        state.prover_round(prover)
+    assert state.t == len(x) + 2
+    assert len(state.tapes) == len(long_) + 2
+    assert state.tapes[len(long_)] is long_
+    assert state.tapes[-1] is other
+    _assert_same_run(state.result(prover), _reference_run(v, x, prover, cfg))
 
 
 def test_step_records_list_tapes_in_tape_order():
@@ -700,3 +754,115 @@ def test_two_way_step_budget_below_one_is_an_engine_error(budget):
     with pytest.raises(EngineError, match="step budget must be >= 1"):
         run_protocol(center.verifier, "010", center.honest_prover("010"),
                      EngineConfig(max_steps=budget))
+
+
+@settings(max_examples=40, deadline=None)
+@given(core_tables(two_way=False, max_width=1), st.data())
+def test_schedule_trie_matches_the_per_schedule_reference(kwargs, data):
+    v = complete_verifier(**kwargs)
+    committed_only = data.draw(st.booleans())
+    cfg = EngineConfig(
+        prune=data.draw(st.sampled_from((0.0, 1e-3))),
+        count_interactions=data.draw(st.booleans()),
+        record_steps=data.draw(st.booleans()),
+        check_conservation=data.draw(st.booleans()))
+    for x in SHORT_INPUTS:
+        got = best_schedule_acceptance(v, x, cfg, method="enumeration",
+                                       committed_only=committed_only)
+        want = _reference_enumeration(v, x, cfg, committed_only)
+        assert got.best_p == want.best_p
+        assert got.runs == want.runs
+        assert got.schedule == want.schedule
+        assert got.witness.prover_id == want.witness.prover_id
+        _assert_same_run(got.witness, want.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(core_tables(splits=(0.5, 1e-8)), st.sampled_from(SHORT_INPUTS),
+       st.data())
+def test_forked_runs_equal_the_runs_of_their_whole_schedules(kwargs, x,
+                                                             data):
+    # run a prefix schedule to round t, fork, and step the forks in turn,
+    # each with its own suffix; the forks share one tape table
+    v = complete_verifier(**kwargs)
+    rounds = 5 if v.two_way else len(x) + 1
+    cfg = EngineConfig(prune=data.draw(st.sampled_from((0.0, 1e-3))),
+                       max_steps=rounds + 1, record_steps=True,
+                       count_interactions=True, check_conservation=True)
+    writes = st.dictionaries(st.integers(1, rounds),
+                             st.sampled_from(v.comm_alphabet))
+    fork_at = data.draw(st.integers(1, rounds))
+    prefix = {t: s for t, s in data.draw(writes).items() if t < fork_at}
+    provers = [
+        MessageSchedule({**prefix, **{t: s for t, s in suffix.items()
+                                      if t >= fork_at}})
+        for suffix in data.draw(st.lists(writes, min_size=1, max_size=3))]
+    state = engine.RunState(v, x, cfg)
+    going = state.verifier_step()
+    head = MessageSchedule(prefix)
+    while going and state.t < fork_at:
+        state.prover_round(head)
+        going = state.verifier_step()
+    branches = [[state.fork(), going] for _ in provers[1:]] + [[state, going]]
+    while any(going for _, going in branches):
+        for branch, prover in zip(branches, provers):
+            if branch[1]:
+                branch[0].prover_round(prover)
+                branch[1] = branch[0].verifier_step()
+    for (fork, _), prover in zip(branches, provers):
+        _assert_same_run(fork.result(prover),
+                         run_protocol(v, x, prover, cfg))
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
+
+
+@pytest.mark.parametrize("case", [
+    "tape_trunc", "family_budget", "not_adequate", "not_conserved"])
+def test_schedule_trie_raises_what_the_reference_raises(zero, odd, case):
+    verifier, x, cfg, budget = odd.verifier, "0101", EngineConfig(), 200000
+    if case == "tape_trunc":
+        # zero writes its state to the comm cell on every live step, so a
+        # leaving schedule logs a record each round
+        verifier, x, cfg = zero.verifier, "10", EngineConfig(tape_trunc=1)
+    elif case == "family_budget":
+        budget = 3 ** len("0101")
+    elif case == "not_adequate":
+        verifier, x = leaky_verifier(), "00"
+    else:
+        cfg = EngineConfig(check_conservation=True, tau=-1.0)
+    want = _raised(lambda: _reference_enumeration(verifier, x, cfg,
+                                                  budget=budget))
+    got = _raised(lambda: best_schedule_acceptance(
+        verifier, x, cfg, method="enumeration", enumeration_budget=budget))
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+
+
+def test_schedule_trie_steps_each_node_at_most_once(odd, monkeypatch):
+    # odd on 0101: 3 options over 5 rounds, 243 schedules of 6 steps each;
+    # the trie has 3 ** (t - 1) nodes at step t, and the witness is rerun
+    kernel_calls = []
+    runs = []
+    step, run = engine._verifier_step, engine.run_protocol
+
+    def counted_step(*args):
+        kernel_calls.append(1)
+        return step(*args)
+
+    def counted_run(*args):
+        runs.append(1)
+        return run(*args)
+
+    monkeypatch.setattr(engine, "_verifier_step", counted_step)
+    monkeypatch.setattr(engine, "run_protocol", counted_run)
+    sweep = best_schedule_acceptance(odd.verifier, "0101",
+                                     method="enumeration")
+    assert sweep.runs == 3 ** 5
+    assert len(runs) == 1
+    nodes = sum(3 ** (t - 1) for t in range(1, 7))
+    assert len(kernel_calls) <= nodes + 6
+    assert len(kernel_calls) < sweep.runs * 6 // 4

@@ -33,6 +33,20 @@ def test_history_responder_records_nonblank_only():
     assert tape == ((2, "m"),)
 
 
+@pytest.mark.parametrize("prover", [
+    HistoryResponder(lambda t, g: "a" if g == BLANK else BLANK),
+    MessageSchedule({2: "m", 3: BLANK}),
+])
+def test_respond_gives_the_action_of_apply(prover):
+    # the engine steps responders through respond, validators through apply
+    for t in (1, 2, 3):
+        for g in (BLANK, "a", "m"):
+            for tape in ((), ((1, "a"),)):
+                reply, record = prover.respond(t, g)
+                logged = tape if record is None else tape + (record,)
+                assert prover.apply(t, g, tape) == [(1.0, reply, logged)]
+
+
 def test_erasing_responder_conserves_superposed_comm_mass():
     # q0 writes # and a in superposition; erasing both would merge the two
     # components onto one basis label unless the observation is recorded.
