@@ -14,7 +14,9 @@ from .errors import (
     BudgetError, EngineError, FamilyInadequacyError, LinalgError, ParseError,
     QipsimError, ValidationError,
 )
-from .linalg import SparseVector, check_unitary, fourier_entry, make_qft
+from .linalg import (
+    SparseVector, check_isometry, check_unitary, fourier_entry, make_qft,
+)
 from .automata import (
     BLANK, CORE, COMPLETION, GUARD, LEFT_END, RIGHT_END, OneRfaSpec,
     TwoNpfaSpec, VerifierSpec, build_step_operator, complete_verifier,
@@ -55,7 +57,8 @@ __all__ = [
     "best_schedule_acceptance", "bundle_document", "evaluate_amplitude",
     "load_spec", "parse_spec", "serialize_spec", "verifier_document",
     "branch_npfa", "build_step_operator", "center_protocol", "check_classical",
-    "check_committed", "check_unitary", "coin_npfa", "complete_verifier",
+    "check_committed", "check_isometry", "check_unitary", "coin_npfa",
+    "complete_verifier",
     "enumerate_schedules", "equal_blocks_protocol", "first_option_chooser",
     "fourier_entry",
     "interaction_count", "last_option_chooser", "make_bundle", "make_qft",

@@ -15,7 +15,10 @@ Tables are assembled from three row classes:
   keeps the comm symbol so the guard targets stay distinct;
 - completion rows: a generic unitary completion on the remaining columns
   (halting-state sources), which the dynamics never reach because halting
-  amplitude is measured out before the next step.
+  amplitude is measured out before the next step (measure-many
+  semantics).  They are built on first use, by a reader of the full
+  table (the step operator, the export), and kept; runs, sweeps and
+  checks read only the live tables: core and guard rows.
 """
 
 import itertools
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import EngineError, ValidationError
-from .linalg import as_integer, check_unitary, ensure_finite
+from .linalg import as_integer, check_isometry, ensure_finite
 
 LEFT_END = "^"
 RIGHT_END = "$"
@@ -94,27 +97,53 @@ def _compile_moves(table, pair_index):
     return CompiledMoves(*arrays)
 
 
+class _Tables(NamedTuple):
+    """A verifier's tables, as VerifierSpec's attributes of these names."""
+
+    rows: dict
+    row_class: dict
+    head_dir: dict
+    moves: dict
+    compiled: dict
+
+
 class VerifierSpec:
-    """Complete unitary verifier description.
+    """Unitary verifier description.
 
     rows: {symbol: {(state, comm): ((amp, state', comm'), ...)}}
     head_dir: {(state', comm'): direction}
     row_class: {symbol: {(state, comm): "core"|"guard"|"completion"}}
     moves: {padded symbol: MoveTable}, the rows with each target's head
-    direction attached; every verifier step reads these.
+    direction attached.
     compiled: {padded symbol: CompiledMoves}, the move tables as index
-    arrays; the step operator and the per-symbol unitarity check read
-    these.
+    arrays over pair_index; the step operator reads these.
+    pair_index: {(state, comm): index} in states x comm_alphabet order.
+
+    Those five tables, and row() and class_of(), show the full table.  A
+    completable verifier (complete_verifier's) is given its core and
+    guard rows only.  Its completion rows, with their directions, moves
+    and compiled arrays, are built on the first read of a full table and
+    kept in analyses.  A plain VerifierSpec, built from explicit rows,
+    is not completable: its full tables are the rows it was given, and a
+    missing row stays missing.
+
+    live_moves and live_compiled are the move tables and compiled arrays
+    of the rows the verifier was given, and live_rows() iterates those
+    rows.  Runs, sweeps, checks and the analyses read only these, so
+    they never complete a table: every row a run reads has a live
+    source, since halting amplitude is measured out in the step that
+    reaches it.
+
     analyses: input-independent results computed once per verifier: the
-    engine's announcement map and schedule adequacy, and
-    validate_wellformed's per-symbol unitarity defects.  The tables, the
-    move tables and their compiled arrays included, are built once in
-    __init__ and never mutated afterwards, so all of these stay valid.
+    engine's announcement map and schedule adequacy, validate_wellformed's
+    per-symbol unitarity defects, and the full tables.  The live
+    tables are built once in __init__ and never mutated, and completion
+    builds new tables beside them, so all of these stay valid.
     """
 
     def __init__(self, name, input_alphabet, comm_alphabet, non_halting,
                  accepting, rejecting, initial, two_way, rows, head_dir,
-                 row_class=None, metadata=None):
+                 row_class=None, metadata=None, completable=False):
         self.name = str(name)
         self.input_alphabet = tuple(input_alphabet)
         self.comm_alphabet = tuple(comm_alphabet)
@@ -123,32 +152,84 @@ class VerifierSpec:
         self.rejecting = tuple(rejecting)
         self.initial = initial
         self.two_way = bool(two_way)
-        self.rows = {
+        self.completable = bool(completable)
+        self._rows = {
             sym: dict(table) for sym, table in rows.items()
         }
-        self.head_dir = dict(head_dir)
-        self.row_class = {
+        self._head_dir = dict(head_dir)
+        self._row_class = {
             sym: dict(table) for sym, table in (row_class or {}).items()
         }
         self.metadata = dict(metadata or {})
         self.analyses = {}
         self._validate_structure()
-        self.moves = {
-            sym: MoveTable(sym, {
-                key: tuple([(amp, q2, g2, self.head_dir[q2, g2])
-                            for amp, q2, g2 in targets])
-                for key, targets in self.rows.get(sym, {}).items()
-            })
-            for sym in self.padded_alphabet
-        }
-        pair_index = {
+        self.pair_index = {
             pair: i for i, pair in enumerate(
                 (q, g) for q in self.states for g in self.comm_alphabet)
         }
-        self.compiled = {
-            sym: _compile_moves(table, pair_index)
-            for sym, table in self.moves.items()
+        self.live_moves = self._move_tables(self._rows, self._head_dir)
+        self.live_compiled = self._compile(self.live_moves)
+        if not self.completable:
+            self.analyses["full_tables"] = _Tables(
+                self._rows, self._row_class, self._head_dir,
+                self.live_moves, self.live_compiled)
+
+    def _move_tables(self, rows, head_dir):
+        return {
+            sym: MoveTable(sym, {
+                key: tuple([(amp, q2, g2, head_dir[q2, g2])
+                            for amp, q2, g2 in targets])
+                for key, targets in rows.get(sym, {}).items()
+            })
+            for sym in self.padded_alphabet
         }
+
+    def _compile(self, moves):
+        return {sym: _compile_moves(table, self.pair_index)
+                for sym, table in moves.items()}
+
+    # -- full tables -----------------------------------------------------
+
+    def _tables(self):
+        tables = self.analyses.get("full_tables")
+        if tables is None:
+            # concurrent first calls each build the same tables
+            tables = self.analyses["full_tables"] = self._complete()
+        return tables
+
+    def _complete(self):
+        """The full tables: the live rows plus completion rows on every
+        column they leave free, symbol by symbol."""
+        padded = self.padded_alphabet
+        rows = {sym: dict(self._rows.get(sym, {})) for sym in padded}
+        row_class = {sym: dict(self._row_class.get(sym, {}))
+                     for sym in padded}
+        head_dir = dict(self._head_dir)
+        for sym in padded:
+            _complete_symbol(rows[sym], row_class[sym], self.states,
+                             self.comm_alphabet, head_dir, self.two_way)
+        moves = self._move_tables(rows, head_dir)
+        return _Tables(rows, row_class, head_dir, moves, self._compile(moves))
+
+    @property
+    def rows(self):
+        return self._tables().rows
+
+    @property
+    def row_class(self):
+        return self._tables().row_class
+
+    @property
+    def head_dir(self):
+        return self._tables().head_dir
+
+    @property
+    def moves(self):
+        return self._tables().moves
+
+    @property
+    def compiled(self):
+        return self._tables().compiled
 
     # -- structure -----------------------------------------------------
 
@@ -178,12 +259,21 @@ class VerifierSpec:
     def class_of(self, symbol, state, comm):
         return self.row_class.get(symbol, {}).get((state, comm), CORE)
 
+    def live_rows(self):
+        """Iterate (symbol, (state, comm), targets, class) over the live
+        rows, table by table in the order they were given."""
+        for sym, table in self._rows.items():
+            classes = self._row_class.get(sym, {})
+            for key, targets in table.items():
+                yield sym, key, targets, classes.get(key, CORE)
+
     def core_rows(self):
         """Iterate (symbol, (state, comm), targets) over authored rows."""
-        for sym in sorted(self.rows):
-            for key in sorted(self.rows[sym]):
-                if self.class_of(sym, *key) == CORE:
-                    yield sym, key, self.rows[sym][key]
+        for sym in sorted(self._rows):
+            classes = self._row_class.get(sym, {})
+            for key in sorted(self._rows[sym]):
+                if classes.get(key, CORE) == CORE:
+                    yield sym, key, self._rows[sym][key]
 
     def _validate_structure(self):
         seen = set()
@@ -210,7 +300,7 @@ class VerifierSpec:
                 )
         comm_set = set(self.comm_alphabet)
         padded = set(self.padded_alphabet)
-        for sym, table in self.rows.items():
+        for sym, table in self._rows.items():
             if sym not in padded:
                 raise ValidationError("transition table for unknown symbol %r" % sym)
             for (q, g), targets in table.items():
@@ -225,7 +315,7 @@ class VerifierSpec:
                             "transition target (%r, %r) references unknown ids"
                             % (q2, g2)
                         )
-                    if (q2, g2) not in self.head_dir:
+                    if (q2, g2) not in self._head_dir:
                         raise ValidationError(
                             "no head direction for target (%r, %r)" % (q2, g2)
                         )
@@ -237,7 +327,7 @@ class VerifierSpec:
                     "{\"per_cell\": a, \"base\": b} with integers a, b >= 0, "
                     "not both 0; got %r" % (hint,)
                 )
-        for pair, d in self.head_dir.items():
+        for pair, d in self._head_dir.items():
             if self.two_way:
                 if d not in (-1, 0, 1):
                     raise ValidationError(
@@ -276,7 +366,7 @@ def public_symbol(verifier, state, comm_written=None):
     """
     if not verifier.two_way:
         return state
-    d = verifier.head_dir.get((state, comm_written))
+    d = verifier._head_dir.get((state, comm_written))
     if d is None:
         raise ValidationError(
             "no head direction recorded for (%r, %r)" % (state, comm_written)
@@ -321,7 +411,7 @@ def resolve_dir(head_dir, state, comm, two_way):
 def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
                       accepting, rejecting, initial, two_way, core_rows,
                       head_dir, metadata=None, tau=1e-9):
-    """Assemble a full VerifierSpec from authored core rows.
+    """Assemble a completable VerifierSpec from authored core rows.
 
     head_dir may mix per-state entries (state -> direction) with
     per-target entries ((state, comm) -> direction); the latter win.
@@ -329,17 +419,18 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
     (q, g) -> (rej~q, g), one fresh rejecting state per live state with
     a hole (primed on a name clash).  Guard targets of one state differ
     in g and those of different states differ in state, so each
-    per-symbol table stays injective on them.  The remaining columns get
-    a generic unitary completion (identity-preferring, then orthonormal
-    complements of partially used target blocks).  Per-symbol unitarity
-    is verified before returning.
+    per-symbol table stays injective on them.  The returned verifier is
+    completable: the remaining (halting-source) columns get a generic
+    unitary completion (identity-preferring, then orthonormal
+    complements of partially used target blocks) on the first read of
+    its full tables.  The per-symbol check of the live columns is made
+    before returning.
     """
     comm_alphabet = tuple(comm_alphabet)
     non_halting = tuple(non_halting)
     accepting = tuple(accepting)
     rejecting = list(rejecting)
-    all_states = list(non_halting) + list(accepting) + list(rejecting)
-    state_set = set(all_states)
+    state_set = set(non_halting) | set(accepting) | set(rejecting)
     padded = (LEFT_END,) + tuple(input_alphabet) + (RIGHT_END,)
 
     rows = {sym: dict(core_rows.get(sym, {})) for sym in padded}
@@ -383,20 +474,13 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
                     rows[sym][(q, g)] = ((1.0, fresh, g),)
                     row_class[sym][(q, g)] = GUARD
 
-    all_states = list(non_halting) + list(accepting) + list(rejecting)
-
-    # completion: fill halting-source columns per symbol
-    for sym in padded:
-        _complete_symbol(rows[sym], row_class[sym], all_states,
-                         comm_alphabet, resolved_dir, two_way)
-
     meta = dict(metadata or {})
     meta.setdefault("guard_states", len(guard_states))
     spec = VerifierSpec(
         name=name, input_alphabet=input_alphabet, comm_alphabet=comm_alphabet,
         non_halting=non_halting, accepting=accepting, rejecting=rejecting,
         initial=initial, two_way=two_way, rows=rows, head_dir=resolved_dir,
-        row_class=row_class, metadata=meta,
+        row_class=row_class, metadata=meta, completable=True,
     )
     report = validate_wellformed(spec, tau=tau)
     if not report.ok:
@@ -408,7 +492,7 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
 
 def _complete_symbol(table, classes, all_states, comm_alphabet,
                      resolved_dir, two_way):
-    """Fill the missing columns of one per-symbol table."""
+    """Fill the missing columns of one per-symbol table in place."""
     all_pairs = [
         (q, g) for q in all_states for g in comm_alphabet
     ]
@@ -562,25 +646,31 @@ class WellformedReport:
 
 
 def validate_wellformed(verifier, tau=1e-9, inputs=None):
-    """Check per-symbol unitarity (and optionally whole-step operators).
+    """Check per-symbol unitarity, and the step operator of each input.
 
-    Per-symbol check: for each padded symbol, the (state, comm) table must
-    be unitary; this implies every whole-step operator is unitary for the
-    head arithmetic used here.  `inputs` optionally lists strings whose
-    step operators are checked exhaustively as well.  Each defect is
-    linalg.check_unitary's on the sparse matrix; a symbol with a missing
-    row has defect inf, and so has every input whose tape scans it (its
-    step operator is not built).  The per-symbol defects do not depend on
-    tau and are computed once per verifier.  ok is every defect <= tau.
+    Per-symbol check: for each padded symbol, the columns of its live
+    table (one per row) must be orthonormal.  Orthonormal columns always
+    extend to a unitary table, and completion builds that extension on
+    the columns no run reads, so the check needs no completion.  Each
+    defect is linalg.check_isometry's on the live columns; a symbol with
+    a missing row that completion does not supply (a live source, or
+    any source of a plain verifier) has defect inf.  The per-symbol
+    defects do not depend on tau and are computed once per verifier.
+
+    `inputs` optionally lists strings whose step-operator defects are
+    reported as well; they are derived, not built.  Head movement is a
+    function of the target pair, so the step operator is a permutation
+    times a block diagonal of the per-symbol tables of the tape's cells.
+    Its Gram matrix is therefore block diagonal with the per-symbol Gram
+    matrices as blocks, and an input's defect is the largest per-symbol
+    defect over the symbols on its tape (inf when one is inf).  ok is
+    every defect <= tau.
     """
     per_symbol = dict(_per_symbol_defects(verifier))
-    per_input = {}
-    for x in (inputs or ()):
-        tape = padded_input(x, verifier.input_alphabet)
-        if any(per_symbol[s] == float("inf") for s in tape):
-            per_input[x] = float("inf")
-            continue
-        _, per_input[x] = check_unitary(_step_matrix(verifier, tape))
+    per_input = {
+        x: max(per_symbol[s] for s in padded_input(x, verifier.input_alphabet))
+        for x in (inputs or ())
+    }
     defects = list(per_symbol.values()) + list(per_input.values())
     ok = all(d <= tau for d in defects)
     return WellformedReport(ok=ok, per_symbol=per_symbol,
@@ -588,20 +678,27 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
 
 
 def _per_symbol_defects(verifier):
-    """{padded symbol: unitarity defect of its table}, kept in
+    """{padded symbol: isometry defect of its live table}, kept in
     verifier.analyses after the first call."""
     defects = verifier.analyses.get("per_symbol_defects")
     if defects is not None:
         return defects
     defects = {}
-    n_pairs = len(verifier.states) * len(verifier.comm_alphabet)
-    for sym, c in verifier.compiled.items():
-        if len(verifier.moves[sym]) != n_pairs:
+    index = verifier.pair_index
+    live = [(q, g) for q in verifier.non_halting
+            for g in verifier.comm_alphabet]
+    for sym, c in verifier.live_compiled.items():
+        table = verifier.live_moves[sym]
+        if len(table) != len(index) and (
+                not verifier.completable or any(p not in table for p in live)):
             defects[sym] = float("inf")
             continue
+        # one column per live row, in pair order
+        columns = np.array(sorted(index[key] for key in table), dtype=np.int64)
         mat = scipy.sparse.csr_matrix(
-            (c.amp, (c.dst, c.src)), shape=(n_pairs, n_pairs), dtype=complex)
-        _, defects[sym] = check_unitary(mat)
+            (c.amp, (c.dst, np.searchsorted(columns, c.src))),
+            shape=(len(index), len(columns)), dtype=complex)
+        _, defects[sym] = check_isometry(mat)
     verifier.analyses["per_symbol_defects"] = defects
     return defects
 
@@ -628,24 +725,19 @@ def validate_public(verifier):
     but must target rejecting states.
     """
     violations = []
-    for sym, table in verifier.rows.items():
-        for (q, g), targets in table.items():
-            cls = verifier.class_of(sym, q, g)
-            if cls == CORE:
-                for amp, q2, g2 in targets:
-                    if abs(amp) == 0.0:
-                        continue
-                    expected = public_symbol(verifier, q2, g2)
-                    if g2 != expected:
-                        violations.append(
-                            (sym, (q, g), (q2, g2), expected)
-                        )
-            elif cls == GUARD:
-                for _, q2, _ in targets:
-                    if not verifier.is_rejecting(q2):
-                        violations.append(
-                            (sym, (q, g), (q2, None), "rejecting target")
-                        )
+    for sym, (q, g), targets, cls in verifier.live_rows():
+        if cls == CORE:
+            for amp, q2, g2 in targets:
+                if abs(amp) == 0.0:
+                    continue
+                expected = public_symbol(verifier, q2, g2)
+                if g2 != expected:
+                    violations.append((sym, (q, g), (q2, g2), expected))
+        elif cls == GUARD:
+            for _, q2, _ in targets:
+                if not verifier.is_rejecting(q2):
+                    violations.append(
+                        (sym, (q, g), (q2, None), "rejecting target"))
     return PublicReport(ok=not violations, violations=violations)
 
 

@@ -236,7 +236,7 @@ def cmd_check(args):
         missing = []
         for sym, defect in sorted(report.per_symbol.items()):
             if defect != defect or defect == float("inf"):
-                table = verifier.rows.get(sym, {})
+                table = verifier.live_moves[sym]
                 absent = [
                     (q, g) for q in verifier.states
                     for g in verifier.comm_alphabet if (q, g) not in table

@@ -25,7 +25,8 @@ tape, from the empty tape otherwise, and the table keeps the prover's
 own tuple, so a tuple handed back in a later round is found by identity.
 Step records map the ids back to tuples.
 
-The move tables are the ones the schedule DP and the step operator read.
+Runs and the schedule DP read the verifier's live move tables (core and
+guard rows), so they never complete a table.
 The prover acts between verifier steps; its apply must be a function of
 (round, comm, tape) alone, since the engine calls it once per distinct
 (comm, tape) in each round and reuses that action for every
@@ -187,7 +188,7 @@ class RunState:
         self.verifier = verifier
         self.x = x
         self.cfg = cfg
-        self.cells = [verifier.moves[s]
+        self.cells = [verifier.live_moves[s]
                       for s in padded_input(x, verifier.input_alphabet)]
         self.max_steps = resolve_max_steps(verifier, x, cfg)
         self.trunc = (cfg.tape_trunc if cfg.tape_trunc is not None
@@ -408,7 +409,8 @@ def run_mcomp(verifier, x, cfg=None):
             "comm-projection runs are defined for one-way verifiers only"
         )
     cfg = cfg or EngineConfig()
-    cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
+    cells = [verifier.live_moves[s]
+             for s in padded_input(x, verifier.input_alphabet)]
     max_steps = len(cells)
     live = SparseVector({(verifier.initial, 0, BLANK, ()): 1.0 + 0j})
     masses = [0.0]
@@ -493,16 +495,13 @@ def _once(verifier, key, compute):
 
 
 def _require_schedule_adequacy(verifier):
-    for sym, table in verifier.rows.items():
-        for (q, g), targets in table.items():
-            if verifier.class_of(sym, q, g) == "completion":
-                continue
-            if len(targets) > 1:
-                raise FamilyInadequacyError(
-                    "verifier %r branches at (%r, %r) on %r: a message-schedule "
-                    "sweep cannot certify an optimum over all provers; use the "
-                    "protocol's own adversary family" % (verifier.name, q, g, sym)
-                )
+    for sym, (q, g), targets, cls in verifier.live_rows():
+        if cls != "completion" and len(targets) > 1:
+            raise FamilyInadequacyError(
+                "verifier %r branches at (%r, %r) on %r: a message-schedule "
+                "sweep cannot certify an optimum over all provers; use the "
+                "protocol's own adversary family" % (verifier.name, q, g, sym)
+            )
 
 
 def announcement_map(verifier):
@@ -523,12 +522,12 @@ def announcement_map(verifier):
 
 
 def _announcement_map(verifier):
+    core = [(sym, key, targets)
+            for sym, key, targets, cls in verifier.live_rows()
+            if cls == "core"]
     sources = {}
-    for sym, table in verifier.rows.items():
-        for (q, g), targets in table.items():
-            if verifier.class_of(sym, q, g) != "core":
-                continue
-            sources.setdefault(q, set()).add(g)
+    for _sym, (q, g), _targets in core:
+        sources.setdefault(q, set()).add(g)
     announce = {}
     for q, symbols in sources.items():
         if len(symbols) != 1:
@@ -538,19 +537,16 @@ def _announcement_map(verifier):
                 % (q, len(symbols), sorted(symbols))
             )
         announce[q] = next(iter(symbols))
-    for sym, table in verifier.rows.items():
-        for (q, g), targets in table.items():
-            if verifier.class_of(sym, q, g) != "core":
+    for sym, (q, g), targets in core:
+        for _amp, q2, g2 in targets:
+            if verifier.is_halting(q2):
                 continue
-            for _amp, q2, g2 in targets:
-                if verifier.is_halting(q2):
-                    continue
-                if announce.get(q2) != g2:
-                    raise FamilyInadequacyError(
-                        "component (%r, %r) -> (%r, %r) on %r writes %r but "
-                        "the target state announces %r"
-                        % (q, g, q2, g2, sym, g2, announce.get(q2))
-                    )
+            if announce.get(q2) != g2:
+                raise FamilyInadequacyError(
+                    "component (%r, %r) -> (%r, %r) on %r writes %r but "
+                    "the target state announces %r"
+                    % (q, g, q2, g2, sym, g2, announce.get(q2))
+                )
     return announce
 
 
@@ -622,7 +618,8 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
 
 
 def _schedule_dp(verifier, x, cfg, committed_only):
-    cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
+    cells = [verifier.live_moves[s]
+             for s in padded_input(x, verifier.input_alphabet)]
     length = len(cells)
     memo = {}
     choice = {}

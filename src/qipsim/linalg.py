@@ -55,21 +55,36 @@ def _fourier(products, n):
 def check_unitary(matrix, tau=1e-9):
     """Return (ok, defect) where defect = max |(U* U - I)_ij|.
 
-    The matrix is a scipy sparse matrix, used as is, or anything numpy
-    reads as a 2-D complex array, which is converted to CSR first; both
-    take the same sparse Gram product.  The defect is read off the Gram
-    matrix's stored entries, 1 subtracted on the diagonal; a diagonal
-    entry it does not store counts as defect 1.  ok is defect <= tau.
-    Raises LinalgError when the input is not a square matrix.
+    check_isometry's result for a square matrix.  Raises LinalgError when
+    the input is not a square matrix.
     """
-    sparse = scipy.sparse.issparse(matrix)
-    u = matrix if sparse else np.asarray(matrix, dtype=complex)
+    u = _gram_input(matrix)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise LinalgError(
             "invalid dimension: unitarity check needs a square matrix, got shape %r"
             % (u.shape,)
         )
-    if not sparse:
+    return check_isometry(u, tau)
+
+
+def check_isometry(matrix, tau=1e-9):
+    """Return (ok, defect) where defect = max |(U* U - I)_ij| for an m x n
+    matrix U: how far its columns are from orthonormal.
+
+    The matrix is a scipy sparse matrix, used as is, or anything numpy
+    reads as a 2-D complex array, which is converted to CSR first; both
+    take the same sparse Gram product.  The defect is read off the Gram
+    matrix's stored entries, 1 subtracted on the diagonal; a diagonal
+    entry it does not store counts as defect 1.  ok is defect <= tau.
+    Raises LinalgError when the input is not a 2-D matrix.
+    """
+    u = _gram_input(matrix)
+    if u.ndim != 2:
+        raise LinalgError(
+            "invalid dimension: isometry check needs a 2-D matrix, got shape %r"
+            % (u.shape,)
+        )
+    if not scipy.sparse.issparse(u):
         u = scipy.sparse.csr_matrix(u)
     # a CSR u gives a CSC Gram matrix, so tocsc() is free on that path
     gram = (u.conj().T @ u).tocsc()
@@ -80,6 +95,12 @@ def check_unitary(matrix, tau=1e-9):
     if np.count_nonzero(on_diagonal) < gram.shape[0]:
         defect = max(defect, 1.0)
     return defect <= tau, defect
+
+
+def _gram_input(matrix):
+    if scipy.sparse.issparse(matrix):
+        return matrix
+    return np.asarray(matrix, dtype=complex)
 
 
 def ensure_finite(amplitude, context="amplitude"):

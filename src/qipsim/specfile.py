@@ -498,9 +498,10 @@ def _make_from_verifier_document(document):
 
 
 def verifier_document(verifier, honest_prover=None, claims=None):
-    """Lossless explicit document for a completed VerifierSpec.
+    """Lossless explicit document for a VerifierSpec.
 
-    Emits every row (guards and completion included) with fill disabled,
+    Emits every row of the full table (guards and completion included,
+    completing the table if it is not yet complete) with fill disabled,
     so parsing rebuilds the identical table.
     """
     rows = {}

@@ -1,6 +1,7 @@
 """Unit tests for verifier tables and the classical automaton runners."""
 
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qipsim.automata import (
     validate_public,
     validate_wellformed,
 )
+from qipsim.cli import resolve_spec
 from qipsim.errors import EngineError, ValidationError
 from qipsim.linalg import check_unitary
 from strategies import core_tables
@@ -280,6 +282,92 @@ def test_per_symbol_unitarity_decides_step_unitarity(kwargs, data):
         assert (defect > bad.tau) == (s == sym)
     for x, defect in bad.per_input.items():
         assert (defect > bad.tau) == (sym in padded_input(x))
+
+
+def _plain_copy(verifier):
+    """A plain VerifierSpec given verifier's full (completed) table."""
+    return VerifierSpec(
+        name="full", input_alphabet=verifier.input_alphabet,
+        comm_alphabet=verifier.comm_alphabet,
+        non_halting=verifier.non_halting, accepting=verifier.accepting,
+        rejecting=verifier.rejecting, initial=verifier.initial,
+        two_way=verifier.two_way, rows=verifier.rows,
+        head_dir=verifier.head_dir, row_class=verifier.row_class,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(core_tables(splits=(0.1, 0.5)), st.data())
+def test_derived_step_defects_match_built_step_operators(kwargs, data):
+    # at times one authored row is scaled by 1.5, so that both verdicts
+    # occur; tau=inf lets complete_verifier accept the broken table
+    authored = [(sym, key) for sym, table in kwargs["core_rows"].items()
+                for key in table]
+    if authored and data.draw(st.booleans()):
+        sym, key = data.draw(st.sampled_from(authored))
+        table = dict(kwargs["core_rows"][sym])
+        table[key] = tuple((1.5 * amp, q2, g2) for amp, q2, g2 in table[key])
+        kwargs = {**kwargs, "core_rows": {**kwargs["core_rows"], sym: table}}
+    v = complete_verifier(**kwargs, tau=float("inf"))
+    inputs = ["".join(w) for n in range(3)
+              for w in itertools.product("01", repeat=n)]
+    live = validate_wellformed(v, inputs=inputs)
+    full = validate_wellformed(_plain_copy(v), inputs=inputs)
+    tau = live.tau
+    assert live.ok == full.ok
+    for sym in v.padded_alphabet:
+        assert (live.per_symbol[sym] <= tau) == (full.per_symbol[sym] <= tau)
+    for x in inputs:
+        built = check_unitary(build_step_operator(v, x)[0])[1]
+        # the derivation is exact on the full table; the live columns
+        # leave out the completion columns and their own rounding
+        assert full.per_input[x] == built
+        assert (live.per_input[x] <= tau) == (built <= tau)
+        assert live.per_input[x] == pytest.approx(built, rel=1e-9, abs=1e-12)
+
+
+SHIPPED = sorted(
+    p.name[:-len(".spec")]
+    for p in resources.files("qipsim").joinpath("specs").iterdir()
+    if p.name.endswith(".spec"))
+
+
+@pytest.mark.parametrize("token", SHIPPED)
+def test_shipped_derived_step_defects_equal_built_step_operators(token):
+    v = resolve_spec(token).make().verifier
+    inputs = ["".join(w) for n in range(5)
+              for w in itertools.product(v.input_alphabet, repeat=n)]
+    report = validate_wellformed(v, inputs=inputs)
+    full = validate_wellformed(_plain_copy(v))
+    assert report.ok == full.ok
+    for x in inputs:
+        assert report.per_input[x] == check_unitary(
+            build_step_operator(v, x)[0])[1]
+
+
+def test_live_column_check_needs_the_rows_completion_cannot_supply():
+    base = dict(
+        name="partial", input_alphabet=(), comm_alphabet=(BLANK,),
+        non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
+        initial="q0", two_way=False, head_dir={("acc", BLANK): 1},
+        rows={sym: {("q0", BLANK): ((1.0, "acc", BLANK),)}
+              for sym in (LEFT_END, RIGHT_END)},
+    )
+    # only halting-source rows are missing: completion supplies them
+    partial = VerifierSpec(**base, completable=True)
+    assert validate_wellformed(partial, inputs=[""]).ok
+    assert len(partial.rows[LEFT_END]) == len(partial.states)
+    # a plain verifier is not completable: the same table is incomplete
+    plain = VerifierSpec(**base)
+    report = validate_wellformed(plain, inputs=[""])
+    assert report.per_input == {"": float("inf")}
+    with pytest.raises(ValidationError, match="incomplete table"):
+        build_step_operator(plain, "")
+    # a missing live row is inf even when completable
+    rows = {LEFT_END: base["rows"][LEFT_END], RIGHT_END: {}}
+    gappy = VerifierSpec(**{**base, "rows": rows}, completable=True)
+    assert validate_wellformed(gappy).per_symbol == {
+        LEFT_END: 0.0, RIGHT_END: float("inf")}
 
 
 def _reference_step_operator(verifier, x):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qipsim.errors import LinalgError
 from qipsim.linalg import (
     SparseVector,
+    check_isometry,
     check_unitary,
     ensure_finite,
     make_qft,
@@ -145,3 +146,17 @@ def test_sparse_vector_copy_is_independent():
     w.add("a", 1.0)
     assert v["a"] == 1.0
     assert w["a"] == 2.0
+
+
+def test_check_isometry_takes_rectangular_matrices():
+    assert check_isometry([[1, 0], [0, 1j], [0, 0]]) == (True, 0.0)
+    ok, defect = check_isometry(scipy.sparse.csr_matrix([[1.0], [1.0]]))
+    assert not ok
+    assert defect == 1.0
+    # a zero column's Gram diagonal entry is not stored: defect 1
+    assert check_isometry([[1, 0], [0, 0], [0, 0]]) == (False, 1.0)
+    # on a square matrix it is check_unitary
+    u = make_qft(3)
+    assert check_isometry(u) == check_unitary(u)
+    with pytest.raises(LinalgError):
+        check_isometry([1, 0])

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -493,12 +496,74 @@ def test_cli_sweep_builds_and_analyses_once_per_command(
 def test_cli_check_runs_the_per_symbol_check_once(token, monkeypatch, capsys):
     verifier = resolve_spec(token).make().verifier
     n_pairs = len(verifier.states) * len(verifier.comm_alphabet)
-    calls = _count_calls(monkeypatch, automata, "check_unitary")
+    calls = _count_calls(monkeypatch, automata, "check_isometry")
+    operators = _count_calls(monkeypatch, automata, "_step_matrix")
     assert main(["check", token]) == 0
-    per_symbol = [m for (m, *_) in calls if m.shape == (n_pairs, n_pairs)]
-    assert len(per_symbol) == len(verifier.padded_alphabet)
-    # plus one step operator per input of length 0..3
-    assert len(calls) == len(per_symbol) + 15
+    # one live-column check per padded symbol; the defects of the 15
+    # inputs of length 0..3 are derived from them, no step operator built
+    assert len(calls) == len(verifier.padded_alphabet)
+    assert all(m.shape[0] == n_pairs for (m, *_) in calls)
+    assert operators == []
+
+
+def test_run_sweep_and_check_never_complete_a_table(monkeypatch, capsys):
+    # runs read only live rows, and the per-symbol check reads the live
+    # columns, so no shipped spec's completion rows are ever built
+    completions = _count_calls(monkeypatch, automata, "_complete_symbol")
+    for token in SHIPPED:
+        for argv in (["check", token], ["run", token, "--input", "01"],
+                     ["sweep", token, "--max-len", "1"]):
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert completions == []
+
+
+FULL_TABLE_READS = {
+    "build_step_operator": lambda v: automata.build_step_operator(v, "01"),
+    "verifier_document": verifier_document,
+    "rows": lambda v: v.rows,
+}
+
+
+@pytest.mark.parametrize("first", sorted(FULL_TABLE_READS))
+def test_the_first_full_table_read_completes_it_once(first, monkeypatch):
+    verifier = make_bundle("odd").verifier
+    completions = _count_calls(monkeypatch, automata, "_complete_symbol")
+    FULL_TABLE_READS[first](verifier)
+    # one completion is one _complete_symbol call per padded symbol
+    assert len(completions) == len(verifier.padded_alphabet)
+    for read in FULL_TABLE_READS.values():
+        read(verifier)
+    assert len(completions) == len(verifier.padded_alphabet)
+    assert verifier.rows is verifier.rows
+
+
+def test_concurrent_first_completions_agree():
+    # library callers sharing one verifier across threads may complete
+    # its table at the same time
+    expected = serialize_spec(verifier_document(
+        make_bundle("center", {"branches": 3}).verifier))
+    verifier = make_bundle("center", {"branches": 3}).verifier
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            docs = list(pool.map(
+                lambda _: serialize_spec(verifier_document(verifier)),
+                range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert docs == [expected] * 16
+    assert verifier.analyses["full_tables"].rows is verifier.rows
+
+
+@pytest.mark.parametrize("token", ["odd", "toy_explicit"])
+def test_export_matches_golden(token):
+    # the export reads the completed table: completion on first use must
+    # give the rows, classes and directions eager completion gave
+    golden = Path(__file__).with_name("golden") / ("export-%s.txt" % token)
+    doc = verifier_document(resolve_spec(token).make().verifier)
+    assert serialize_spec(doc) == golden.read_text(encoding="utf-8")
 
 
 def test_cli_run_tape_truncation_is_a_budget_error(capsys):
