@@ -23,6 +23,7 @@ Tables are assembled from three row classes:
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -98,13 +99,12 @@ def _compile_moves(table, pair_index):
 
 
 class _Tables(NamedTuple):
-    """A verifier's tables, as VerifierSpec's attributes of these names."""
+    """A verifier's full tables, as VerifierSpec's attributes of these names."""
 
     rows: dict
     row_class: dict
     head_dir: dict
     moves: dict
-    compiled: dict
 
 
 class VerifierSpec:
@@ -122,23 +122,22 @@ class VerifierSpec:
     Those five tables, and row() and class_of(), show the full table.  A
     completable verifier (complete_verifier's) is given its core and
     guard rows only.  Its completion rows, with their directions, moves
-    and compiled arrays, are built on the first read of a full table and
-    kept in analyses.  A plain VerifierSpec, built from explicit rows,
-    is not completable: its full tables are the rows it was given, and a
-    missing row stays missing.
+    and compiled arrays, are built on the first read of a full table.  A
+    plain VerifierSpec, built from explicit rows, is not completable:
+    its full tables are the rows it was given, and a missing row stays
+    missing.
 
-    live_moves and live_compiled are the move tables and compiled arrays
-    of the rows the verifier was given, and live_rows() iterates those
-    rows.  Runs, sweeps, checks and the analyses read only these, so
-    they never complete a table: every row a run reads has a live
-    source, since halting amplitude is measured out in the step that
-    reaches it.
+    live_moves are the move tables of the rows the verifier was given,
+    and live_rows() iterates those rows.  Runs, sweeps, checks and the
+    analyses below read only these, so they never complete a table:
+    every row a run reads has a live source, since halting amplitude is
+    measured out in the step that reaches it.
 
-    analyses: input-independent results computed once per verifier: the
-    engine's announcement map and schedule adequacy, validate_wellformed's
-    per-symbol unitarity defects, and the full tables.  The live
-    tables are built once in __init__ and never mutated, and completion
-    builds new tables beside them, so all of these stay valid.
+    Facts that no input changes are cached properties, computed on
+    first read and kept: _full (the full tables), compiled,
+    per_symbol_defects, announcement and branching.  The live tables are
+    built once in __init__ and never mutated, and completion builds new
+    tables beside them, so every kept fact stays valid.
     """
 
     def __init__(self, name, input_alphabet, comm_alphabet, non_halting,
@@ -161,18 +160,12 @@ class VerifierSpec:
             sym: dict(table) for sym, table in (row_class or {}).items()
         }
         self.metadata = dict(metadata or {})
-        self.analyses = {}
         self._validate_structure()
         self.pair_index = {
             pair: i for i, pair in enumerate(
                 (q, g) for q in self.states for g in self.comm_alphabet)
         }
         self.live_moves = self._move_tables(self._rows, self._head_dir)
-        self.live_compiled = self._compile(self.live_moves)
-        if not self.completable:
-            self.analyses["full_tables"] = _Tables(
-                self._rows, self._row_class, self._head_dir,
-                self.live_moves, self.live_compiled)
 
     def _move_tables(self, rows, head_dir):
         return {
@@ -184,22 +177,16 @@ class VerifierSpec:
             for sym in self.padded_alphabet
         }
 
-    def _compile(self, moves):
-        return {sym: _compile_moves(table, self.pair_index)
-                for sym, table in moves.items()}
-
     # -- full tables -----------------------------------------------------
 
-    def _tables(self):
-        tables = self.analyses.get("full_tables")
-        if tables is None:
-            # concurrent first calls each build the same tables
-            tables = self.analyses["full_tables"] = self._complete()
-        return tables
-
-    def _complete(self):
-        """The full tables: the live rows plus completion rows on every
-        column they leave free, symbol by symbol."""
+    @cached_property
+    def _full(self):
+        """The full tables: a plain verifier's given rows, or the live
+        rows plus completion rows on every column they leave free,
+        symbol by symbol."""
+        if not self.completable:
+            return _Tables(self._rows, self._row_class, self._head_dir,
+                           self.live_moves)
         padded = self.padded_alphabet
         rows = {sym: dict(self._rows.get(sym, {})) for sym in padded}
         row_class = {sym: dict(self._row_class.get(sym, {}))
@@ -208,28 +195,95 @@ class VerifierSpec:
         for sym in padded:
             _complete_symbol(rows[sym], row_class[sym], self.states,
                              self.comm_alphabet, head_dir, self.two_way)
-        moves = self._move_tables(rows, head_dir)
-        return _Tables(rows, row_class, head_dir, moves, self._compile(moves))
+        return _Tables(rows, row_class, head_dir,
+                       self._move_tables(rows, head_dir))
 
     @property
     def rows(self):
-        return self._tables().rows
+        return self._full.rows
 
     @property
     def row_class(self):
-        return self._tables().row_class
+        return self._full.row_class
 
     @property
     def head_dir(self):
-        return self._tables().head_dir
+        return self._full.head_dir
 
     @property
     def moves(self):
-        return self._tables().moves
+        return self._full.moves
 
-    @property
+    @cached_property
     def compiled(self):
-        return self._tables().compiled
+        return {sym: _compile_moves(table, self.pair_index)
+                for sym, table in self.moves.items()}
+
+    # -- analyses of the live tables -------------------------------------
+
+    @cached_property
+    def per_symbol_defects(self):
+        """{padded symbol: isometry defect of its live table}: one column
+        per live row, in pair order.  inf when a row is missing that
+        completion does not supply: a live source, or any source of a
+        plain verifier."""
+        defects = {}
+        index = self.pair_index
+        live = [(q, g) for q in self.non_halting for g in self.comm_alphabet]
+        for sym, table in self.live_moves.items():
+            if len(table) != len(index) and (
+                    not self.completable or any(p not in table for p in live)):
+                defects[sym] = float("inf")
+                continue
+            c = _compile_moves(table, index)
+            columns = np.array(sorted(index[key] for key in table),
+                               dtype=np.int64)
+            mat = scipy.sparse.csr_matrix(
+                (c.amp, (c.dst, np.searchsorted(columns, c.src))),
+                shape=(len(index), len(columns)), dtype=complex)
+            _, defects[sym] = check_isometry(mat)
+        return defects
+
+    @cached_property
+    def announcement(self):
+        """(announcement map, None) when the verifier is announced (see
+        engine.announcement_map), else (None, why it is not)."""
+        core = [(sym, key, targets)
+                for sym, key, targets, cls in self.live_rows()
+                if cls == CORE]
+        sources = {}
+        for _sym, (q, g), _targets in core:
+            sources.setdefault(q, set()).add(g)
+        announce = {}
+        for q, symbols in sources.items():
+            if len(symbols) != 1:
+                return None, (
+                    "state %r has authored rows under %d comm symbols %r; an "
+                    "announced verifier uses exactly one per state"
+                    % (q, len(symbols), sorted(symbols)))
+            announce[q] = next(iter(symbols))
+        for sym, (q, g), targets in core:
+            for _amp, q2, g2 in targets:
+                if not self.is_halting(q2) and announce.get(q2) != g2:
+                    return None, (
+                        "component (%r, %r) -> (%r, %r) on %r writes %r but "
+                        "the target state announces %r"
+                        % (q, g, q2, g2, sym, g2, announce.get(q2)))
+        return announce, None
+
+    @cached_property
+    def branching(self):
+        """Why a message-schedule sweep cannot certify an optimum: the
+        first live row with more than one target, or None when the live
+        rows are branch-free (the one-way schedule DP's premise)."""
+        for sym, (q, g), targets, cls in self.live_rows():
+            if cls != COMPLETION and len(targets) > 1:
+                return (
+                    "verifier %r branches at (%r, %r) on %r: a message-"
+                    "schedule sweep cannot certify an optimum over all "
+                    "provers; use the protocol's own adversary family"
+                    % (self.name, q, g, sym))
+        return None
 
     # -- structure -----------------------------------------------------
 
@@ -655,7 +709,8 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
     defect is linalg.check_isometry's on the live columns; a symbol with
     a missing row that completion does not supply (a live source, or
     any source of a plain verifier) has defect inf.  The per-symbol
-    defects do not depend on tau and are computed once per verifier.
+    defects do not depend on tau: they are the verifier's cached
+    per_symbol_defects.
 
     `inputs` optionally lists strings whose step-operator defects are
     reported as well; they are derived, not built.  Head movement is a
@@ -666,7 +721,7 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
     defect over the symbols on its tape (inf when one is inf).  ok is
     every defect <= tau.
     """
-    per_symbol = dict(_per_symbol_defects(verifier))
+    per_symbol = dict(verifier.per_symbol_defects)
     per_input = {
         x: max(per_symbol[s] for s in padded_input(x, verifier.input_alphabet))
         for x in (inputs or ())
@@ -675,32 +730,6 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
     ok = all(d <= tau for d in defects)
     return WellformedReport(ok=ok, per_symbol=per_symbol,
                             per_input=per_input, tau=tau)
-
-
-def _per_symbol_defects(verifier):
-    """{padded symbol: isometry defect of its live table}, kept in
-    verifier.analyses after the first call."""
-    defects = verifier.analyses.get("per_symbol_defects")
-    if defects is not None:
-        return defects
-    defects = {}
-    index = verifier.pair_index
-    live = [(q, g) for q in verifier.non_halting
-            for g in verifier.comm_alphabet]
-    for sym, c in verifier.live_compiled.items():
-        table = verifier.live_moves[sym]
-        if len(table) != len(index) and (
-                not verifier.completable or any(p not in table for p in live)):
-            defects[sym] = float("inf")
-            continue
-        # one column per live row, in pair order
-        columns = np.array(sorted(index[key] for key in table), dtype=np.int64)
-        mat = scipy.sparse.csr_matrix(
-            (c.amp, (c.dst, np.searchsorted(columns, c.src))),
-            shape=(len(index), len(columns)), dtype=complex)
-        _, defects[sym] = check_isometry(mat)
-    verifier.analyses["per_symbol_defects"] = defects
-    return defects
 
 
 @dataclass

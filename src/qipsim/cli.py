@@ -25,6 +25,7 @@ unreadable spec or an unwritable ``--out``), 3 validation, 4 engine,
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -496,7 +497,10 @@ def _at_least(low, convert=int):
     return parse
 
 
+@functools.cache
 def build_parser():
+    """The qipsim argument parser, built once per process: parse_args
+    leaves it unchanged, so every main call shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("spec")
     common.add_argument("--tau", type=_at_least(0, float), default=1e-9,
@@ -528,7 +532,9 @@ def build_parser():
     p_check = sub.add_parser("check", parents=[common],
                              help="validate a spec file's declared claims")
     p_check.add_argument("--n-max", type=_at_least(0), default=3,
-                         help="max input length for step-operator checks")
+                         help="max input length whose step defects, "
+                              "derived from the per-symbol defects, the "
+                              "wellformed rule reports")
     p_check.set_defaults(func=cmd_check)
 
     p_run = sub.add_parser("run", parents=[common, one_run],

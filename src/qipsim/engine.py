@@ -26,7 +26,11 @@ own tuple, so a tuple handed back in a later round is found by identity.
 Step records map the ids back to tuples.
 
 Runs and the schedule DP read the verifier's live move tables (core and
-guard rows), so they never complete a table.
+guard rows), so they never complete a table.  The premises of a
+certified sweep do not depend on the input: branch-freeness for the
+one-way schedule DP, the announcement map for announced dominance.
+They are the verifier's cached properties branching and announcement,
+so each is analysed once per verifier, refusals included.
 The prover acts between verifier steps; its apply must be a function of
 (round, comm, tape) alone, since the engine calls it once per distinct
 (comm, tape) in each round and reuses that action for every
@@ -474,34 +478,11 @@ class ScheduleSweep:
     witness: RunResult = None
 
 
-def _once(verifier, key, compute):
-    """compute(verifier), run once per verifier and kept on it.
-
-    Both outcomes are kept: the value, or the FamilyInadequacyError,
-    which is raised afresh on every later call.  Concurrent first calls
-    may each compute; they store the same outcome.
-    """
-    outcome = verifier.analyses.get(key)
-    if outcome is None:
-        try:
-            outcome = (compute(verifier), None)
-        except FamilyInadequacyError as exc:
-            outcome = (None, str(exc))
-        verifier.analyses[key] = outcome
-    value, error = outcome
-    if error is not None:
-        raise FamilyInadequacyError(error)
-    return value
-
-
 def _require_schedule_adequacy(verifier):
-    for sym, (q, g), targets, cls in verifier.live_rows():
-        if cls != "completion" and len(targets) > 1:
-            raise FamilyInadequacyError(
-                "verifier %r branches at (%r, %r) on %r: a message-schedule "
-                "sweep cannot certify an optimum over all provers; use the "
-                "protocol's own adversary family" % (verifier.name, q, g, sym)
-            )
+    """Raise FamilyInadequacyError unless the verifier's live rows are
+    branch-free (VerifierSpec.branching), the one-way DP's premise."""
+    if verifier.branching is not None:
+        raise FamilyInadequacyError(verifier.branching)
 
 
 def announcement_map(verifier):
@@ -514,40 +495,15 @@ def announcement_map(verifier):
     what makes message-schedule sweeps collapse: a write either repeats
     the announcement or sends that component into a guard.
 
-    Returns the dict {state: symbol}.  Raises FamilyInadequacyError when
-    the premise fails, naming the offending state or component.  The
-    analysis runs once per verifier; later calls reuse its outcome.
+    Returns a fresh dict {state: symbol}.  Raises FamilyInadequacyError
+    when the premise fails, naming the offending state or component.
+    The analysis is the verifier's cached announcement, so it runs once
+    per verifier and a refusal is raised afresh on every later call.
     """
-    return dict(_once(verifier, "announcement_map", _announcement_map))
-
-
-def _announcement_map(verifier):
-    core = [(sym, key, targets)
-            for sym, key, targets, cls in verifier.live_rows()
-            if cls == "core"]
-    sources = {}
-    for _sym, (q, g), _targets in core:
-        sources.setdefault(q, set()).add(g)
-    announce = {}
-    for q, symbols in sources.items():
-        if len(symbols) != 1:
-            raise FamilyInadequacyError(
-                "state %r has authored rows under %d comm symbols %r; an "
-                "announced verifier uses exactly one per state"
-                % (q, len(symbols), sorted(symbols))
-            )
-        announce[q] = next(iter(symbols))
-    for sym, (q, g), targets in core:
-        for _amp, q2, g2 in targets:
-            if verifier.is_halting(q2):
-                continue
-            if announce.get(q2) != g2:
-                raise FamilyInadequacyError(
-                    "component (%r, %r) -> (%r, %r) on %r writes %r but "
-                    "the target state announces %r"
-                    % (q, g, q2, g2, sym, g2, announce.get(q2))
-                )
-    return announce
+    announce, reason = verifier.announcement
+    if reason is not None:
+        raise FamilyInadequacyError(reason)
+    return dict(announce)
 
 
 def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
@@ -610,7 +566,7 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
             method="announced-dominance:%s" % witness.prover_id,
             runs=len(family.rows), witness=witness,
         )
-    _once(verifier, "schedule_adequacy", _require_schedule_adequacy)
+    _require_schedule_adequacy(verifier)
     if method in ("auto", "dp"):
         return _schedule_dp(verifier, x, cfg, committed_only)
     return _schedule_enumeration(verifier, x, cfg, committed_only,

@@ -45,6 +45,15 @@ def _fail(where, message):
     raise ParseError("%s: %s" % (where, message))
 
 
+def _is_number(value):
+    """Whether value is a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_bool(value):
+    return isinstance(value, bool)
+
+
 # -- amplitudes --------------------------------------------------------------
 
 
@@ -58,11 +67,10 @@ def evaluate_amplitude(form, where="amplitude"):
         _fail(where, "expected a number or an object, got %r" % (form,))
     keys = set(form)
     if keys and keys <= {"re", "im"}:
-        try:
-            return complex(float(form.get("re", 0.0)),
-                           float(form.get("im", 0.0)))
-        except (TypeError, ValueError):
+        re, im = form.get("re", 0.0), form.get("im", 0.0)
+        if not (_is_number(re) and _is_number(im)):
             _fail(where, "re/im must be numbers, got %r" % (form,))
+        return complex(float(re), float(im))
     if keys == {"fourier"}:
         spec = form["fourier"]
         if isinstance(spec, dict):
@@ -205,11 +213,41 @@ def _normalize_bundle_document(raw, source):
         "params": params,
     }
     if "claims" in raw:
-        claims = raw["claims"]
-        if not isinstance(claims, dict):
-            _fail(source, "claims must be an object")
-        document["claims"] = claims
+        document["claims"] = _claims(raw["claims"], source)
     return document
+
+
+def _is_probability(value):
+    return _is_number(value) and 0 <= value <= 1
+
+
+def _is_count(value):
+    n = as_integer(value)
+    return n is not None and n >= 0
+
+
+# the declared claims `check` reads, each with what it accepts besides null
+_CLAIM_TYPES = {
+    "public": ("a boolean", _is_bool),
+    "one_way": ("a boolean", _is_bool),
+    "classical_honest": ("a boolean", _is_bool),
+    "committed_honest": ("a boolean", _is_bool),
+    "completeness": ("a number in [0, 1]", _is_probability),
+    "soundness_error": ("a number in [0, 1]", _is_probability),
+    "interaction_bound": ("an integer >= 0", _is_count),
+}
+
+
+def _claims(claims, source):
+    """The claims object, each declared claim checked against its type."""
+    if not isinstance(claims, dict):
+        _fail(source, "claims must be an object")
+    for key, (kind, ok) in _CLAIM_TYPES.items():
+        value = claims.get(key)
+        if value is not None and not ok(value):
+            _fail(source, "claim %s must be %s or null, got %r"
+                  % (key, kind, value))
+    return claims
 
 
 def _make_from_bundle_document(document):
@@ -251,7 +289,9 @@ def _normalize_verifier_document(raw, source):
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         _fail(source, "verifier specs need a non-empty name")
-    two_way = bool(raw.get("two_way", False))
+    two_way = raw.get("two_way", False)
+    if not isinstance(two_way, bool):
+        _fail(source, "two_way must be a boolean, got %r" % (two_way,))
     input_alphabet = _string_list(raw.get("input_alphabet"),
                                   source + ": input_alphabet")
     comm_alphabet = _string_list(raw.get("comm_alphabet"),
@@ -276,8 +316,11 @@ def _normalize_verifier_document(raw, source):
     fill = raw.get("fill", {"guards": True, "completion": True})
     if not isinstance(fill, dict) or set(fill) - {"guards", "completion"}:
         _fail(source, "fill must be an object with guards/completion flags")
-    guards = bool(fill.get("guards", True))
-    completion = bool(fill.get("completion", True))
+    guards = fill.get("guards", True)
+    completion = fill.get("completion", True)
+    if not (isinstance(guards, bool) and isinstance(completion, bool)):
+        _fail(source, "fill.guards and fill.completion must be booleans, "
+              "got %r" % (fill,))
     if guards != completion:
         _fail(source, "fill.guards and fill.completion must match in this "
               "format version (synthesize both or author everything)")
@@ -373,9 +416,7 @@ def _normalize_verifier_document(raw, source):
         "honest_prover": honest_norm,
     }
     if "claims" in raw:
-        if not isinstance(raw["claims"], dict):
-            _fail(source, "claims must be an object")
-        document["claims"] = raw["claims"]
+        document["claims"] = _claims(raw["claims"], source)
     if "metadata" in raw:
         if not isinstance(raw["metadata"], dict):
             _fail(source, "metadata must be an object")
@@ -412,6 +453,8 @@ def _normalize_honest(raw, source):
                 _fail(source, "schedule round %r is not an integer" % (key,))
             if t < 1 or not isinstance(value, str):
                 _fail(source, "schedule writes map rounds >= 1 to symbols")
+            if str(t) in writes:
+                _fail(source, "schedule writes name round %d twice" % t)
             writes[str(t)] = value
         norm = {"type": "schedule", "writes": writes}
         if "prover_id" in raw:

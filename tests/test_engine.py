@@ -341,19 +341,25 @@ def test_schedule_sweep_rejects_unknown_method(bundle_name):
         best_schedule_acceptance(verifier, "01", method="bogus")
 
 
+def _count_live_rows(monkeypatch, verifier, calls):
+    """Record verifier.name in calls each time verifier.live_rows runs."""
+    live_rows = verifier.live_rows
+
+    def counted():
+        calls.append(verifier.name)
+        return live_rows()
+
+    monkeypatch.setattr(verifier, "live_rows", counted)
+
+
 def test_announcement_analysis_runs_once_per_verifier(monkeypatch):
     calls = []
-    body = engine._announcement_map
-
-    def counted(verifier):
-        calls.append(verifier.name)
-        return body(verifier)
-
-    monkeypatch.setattr(engine, "_announcement_map", counted)
     blocks = make_bundle("equal_blocks", {"branches": 2})
+    center = make_bundle("center", {"branches": 2})
+    for bundle in (blocks, center):
+        _count_live_rows(monkeypatch, bundle.verifier, calls)
     for x in ("", "01", "0011", "001"):
         best_schedule_acceptance(blocks.verifier, x)
-    center = make_bundle("center", {"branches": 2})
     for x in ("1", "100"):
         with pytest.raises(FamilyInadequacyError, match="comm symbols"):
             best_schedule_acceptance(center.verifier, x)
@@ -363,11 +369,44 @@ def test_announcement_analysis_runs_once_per_verifier(monkeypatch):
     assert announcement_map(blocks.verifier)
 
 
+def _branching_one_way():
+    h = 2 ** -0.5
+    rows = {
+        LEFT_END: {("s", BLANK): ((h, "s", BLANK), (h, "acc", BLANK))},
+        "0": {("s", BLANK): ((1.0, "s", BLANK),)},
+        RIGHT_END: {("s", BLANK): ((1.0, "acc", BLANK),)},
+    }
+    return complete_verifier(
+        "branchy", ("0",), (BLANK,), ("s",), ("acc",), ("rej",), "s",
+        False, rows, {})
+
+
+@pytest.mark.parametrize("fact,refuse,match", [
+    ("announcement", announcement_map, "comm symbols"),
+    ("branching",
+     lambda v: best_schedule_acceptance(v, "00"), "branches at"),
+], ids=["center-announcement", "one-way-branching"])
+def test_a_refusal_is_cached(fact, refuse, match, monkeypatch):
+    verifier = (make_bundle("center", {"branches": 2}).verifier
+                if fact == "announcement" else _branching_one_way())
+    calls = []
+    _count_live_rows(monkeypatch, verifier, calls)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(FamilyInadequacyError, match=match) as info:
+            refuse(verifier)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert fact in vars(verifier)
+    assert calls == [verifier.name]
+
+
 def test_concurrent_first_analyses_agree():
     # library callers sharing one verifier across threads may fill its
     # cache at the same time
     blocks = make_bundle("equal_blocks", {"branches": 2})
-    expected = engine._announcement_map(blocks.verifier)
+    expected = announcement_map(make_bundle("equal_blocks",
+                                            {"branches": 2}).verifier)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -378,7 +417,7 @@ def test_concurrent_first_analyses_agree():
     finally:
         sys.setswitchinterval(interval)
     assert maps == [expected] * 16
-    assert blocks.verifier.analyses["announcement_map"] == (expected, None)
+    assert vars(blocks.verifier)["announcement"] == (expected, None)
 
 
 def test_center_is_not_announced():

@@ -1,9 +1,11 @@
 """Unit tests for the spec-file format and the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -120,6 +122,93 @@ def test_integral_float_orders_are_integers():
         {"invsqrt": 2})
     assert evaluate_amplitude({"fourier": [4.0, 1.0, 3.0]}) == (
         evaluate_amplitude({"fourier": [4, 1, 3]}))
+
+
+@pytest.mark.parametrize("form", [{"re": True}, {"im": False},
+                                  {"re": "0.5"}])
+def test_re_and_im_that_are_not_numbers_are_a_parse_error(form, tmp_path,
+                                                          capsys):
+    with pytest.raises(ParseError, match="re/im must be numbers"):
+        evaluate_amplitude(form)
+    assert _run_toy_with_amplitude(form, tmp_path) == 2
+    assert "re/im must be numbers" in capsys.readouterr().err
+
+
+def _toy_document():
+    return json.loads(serialize_spec(resolve_spec("toy_explicit").document))
+
+
+def _check_document(doc, tmp_path):
+    path = tmp_path / "edited.spec"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return main(["check", str(path)])
+
+
+@pytest.mark.parametrize("key,value", [
+    ("two_way", "false"),
+    ("two_way", 0),
+    ("fill", {"guards": "no", "completion": "no"}),
+    ("fill", {"guards": 1, "completion": 1}),
+])
+def test_spec_flags_that_are_not_booleans_are_a_parse_error(
+        key, value, tmp_path, capsys):
+    doc = _toy_document()
+    doc[key] = value
+    with pytest.raises(ParseError, match="must be (a )?booleans?"):
+        parse_spec(json.dumps(doc))
+    assert _check_document(doc, tmp_path) == 2
+    assert "boolean" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("writes", [
+    {"1": "#", "01": "#"},
+    {" 1": "#", "1": "#"},
+])
+def test_schedule_writes_naming_one_round_twice_are_a_parse_error(
+        writes, tmp_path, capsys):
+    doc = _toy_document()
+    doc["honest_prover"] = {"type": "schedule", "writes": writes}
+    with pytest.raises(ParseError, match="round 1 twice"):
+        parse_spec(json.dumps(doc))
+    assert _check_document(doc, tmp_path) == 2
+    assert "round 1 twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["bundle", "verifier"])
+@pytest.mark.parametrize("claim,value,expected", [
+    ("public", "false", "a boolean"),
+    ("one_way", 1, "a boolean"),
+    ("classical_honest", "yes", "a boolean"),
+    ("committed_honest", 0, "a boolean"),
+    ("completeness", "1", "a number in [0, 1]"),
+    ("completeness", True, "a number in [0, 1]"),
+    ("soundness_error", 1.5, "a number in [0, 1]"),
+    ("interaction_bound", "many", "an integer >= 0"),
+    ("interaction_bound", -1, "an integer >= 0"),
+    ("interaction_bound", 1.5, "an integer >= 0"),
+])
+def test_ill_typed_claims_are_a_parse_error(kind, claim, value, expected,
+                                            tmp_path, capsys):
+    if kind == "bundle":
+        doc = {"format": "qip-spec-1", "kind": "bundle", "bundle": "odd",
+               "claims": {claim: value}}
+    else:
+        doc = _toy_document()
+        doc["claims"] = {**doc["claims"], claim: value}
+    message = "claim %s must be %s or null" % (claim, expected)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_spec(json.dumps(doc))
+    assert _check_document(doc, tmp_path) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_null_and_well_typed_claims_parse():
+    claims = {"public": None, "one_way": True, "completeness": 1,
+              "soundness_error": 0.25, "interaction_bound": 2.0,
+              "notes": "free text"}
+    doc = {"format": "qip-spec-1", "kind": "bundle", "bundle": "odd",
+           "claims": claims}
+    assert parse_spec(json.dumps(doc)).document["claims"] == claims
 
 
 def test_parse_spec_reports_json_position():
@@ -476,19 +565,22 @@ SWEEP_RUNS = {
     (["sweep", "equal_blocks", "--N", "2", "--max-len", "3"], 15, 1),
     # two-way, not announced: it fails once, then the bundle family runs
     (["sweep", "center", "--N", "2", "--inputs", "1,100,010"], 3, 1),
-    # one-way: the schedule DP never needs the announcement map
+    # one-way: the schedule DP needs branch-freeness, never the
+    # announcement map
     (["sweep", "odd", "--max-len", "3"], 15, 0),
 ])
 def test_cli_sweep_builds_and_analyses_once_per_command(
         argv, rows, announced, monkeypatch, capsys):
     builds = _count_calls(monkeypatch, cli, "instantiate")
-    analyses = _count_calls(monkeypatch, engine, "_announcement_map")
+    # each analysis of the live rows reads them once
+    analyses = _count_calls(monkeypatch, automata.VerifierSpec, "live_rows")
     runs = _count_calls(monkeypatch, engine, "run_protocol")
     monkeypatch.setattr(cli, "run_protocol", engine.run_protocol)
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == rows
     assert len(builds) == 1
-    assert len(analyses) == announced
+    assert len(analyses) == 1
+    assert ("announcement" in vars(analyses[0][0])) == bool(announced)
     assert len(runs) == SWEEP_RUNS[argv[1]]
 
 
@@ -554,7 +646,7 @@ def test_concurrent_first_completions_agree():
     finally:
         sys.setswitchinterval(interval)
     assert docs == [expected] * 16
-    assert verifier.analyses["full_tables"].rows is verifier.rows
+    assert vars(verifier)["_full"].rows is verifier.rows
 
 
 @pytest.mark.parametrize("token", ["odd", "toy_explicit"])
@@ -719,6 +811,17 @@ def test_integral_float_branches_and_inline_machines_build(tmp_path, capsys):
         assert main(["run", str(path), "--input", "0"]) == 0
     assert make_bundle("center", {"branches": 3.0}).claims == make_bundle(
         "center", {"branches": 3}).claims
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    inits = _count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+    assert main(["run", "zero", "--input", "0"]) == 0
+    built = len(inits)
+    assert built > 0
+    assert main(["sweep", "odd", "--inputs", "0,00"]) == 0
+    assert len(inits) == built
+    capsys.readouterr()
 
 
 def test_cli_unknown_subcommand_is_a_usage_error():
