@@ -118,6 +118,8 @@ class VerifierSpec:
     compiled: {padded symbol: CompiledMoves}, the move tables as index
     arrays over pair_index; the step operator reads these.
     pair_index: {(state, comm): index} in states x comm_alphabet order.
+    accepting_set, rejecting_set, halting_set: frozensets of the halting
+    states, which the engine's step kernel tests membership in.
 
     Those five tables, and row() and class_of(), show the full table.  A
     completable verifier (complete_verifier's) is given its core and
@@ -296,13 +298,13 @@ class VerifierSpec:
         return (LEFT_END,) + self.input_alphabet + (RIGHT_END,)
 
     def is_halting(self, state):
-        return state in self._halting_set
+        return state in self.halting_set
 
     def is_accepting(self, state):
-        return state in self._accepting_set
+        return state in self.accepting_set
 
     def is_rejecting(self, state):
-        return state in self._rejecting_set
+        return state in self.rejecting_set
 
     def row(self, symbol, state, comm):
         table = self.rows.get(symbol)
@@ -336,9 +338,9 @@ class VerifierSpec:
                 if q in seen:
                     raise ValidationError("state %r declared twice" % (q,))
                 seen.add(q)
-        self._halting_set = set(self.accepting) | set(self.rejecting)
-        self._accepting_set = set(self.accepting)
-        self._rejecting_set = set(self.rejecting)
+        self.accepting_set = frozenset(self.accepting)
+        self.rejecting_set = frozenset(self.rejecting)
+        self.halting_set = self.accepting_set | self.rejecting_set
         if self.initial not in set(self.non_halting):
             raise ValidationError(
                 "initial state %r is not a live state" % (self.initial,)

@@ -5,10 +5,11 @@ sparse amplitude vector.  A run lives in a RunState, and run_protocol is
 a loop over its methods:
 
 - verifier_step() takes the next verifier step (_verifier_step, shared
-  with run_mcomp), banks the halting mass, prunes, runs the conservation
-  check and appends the step record; it returns whether a prover round
-  follows;
-- prover_round(prover) lets the prover act on every live configuration;
+  with run_mcomp), banks the halting mass and the pruned mass, runs the
+  conservation check and appends the step record; it returns whether a
+  prover round follows;
+- prover_round(prover) lets the prover act on every live configuration
+  and prunes;
 - fork() copies the state, so two continuations of one prefix each go
   their own way; forks share the run's tape table.
 
@@ -24,6 +25,16 @@ record by record from the id of the tape passed in when it extends that
 tape, from the empty tape otherwise, and the table keeps the prover's
 own tuple, so a tuple handed back in a later round is found by identity.
 Step records map the ids back to tuples.
+
+Each step is one pass over the entries it produces.  Amplitudes are
+summed into a plain dict, a sum of exactly 0j dropping its key as
+SparseVector.add does, so dict order and every float sum stay those of
+SparseVector.  The verifier step then classifies each summed entry by
+the verifier's accepting and rejecting sets, measures the query mass of
+the survivors, prunes them (after the query mass) and keeps the
+survivors' interaction counts, all in one loop; the prover round's loop
+prunes.  run_mcomp calls the kernel with no prune, projects out the
+non-blank comm and then prunes the blank-comm survivors.
 
 Runs and the schedule DP read the verifier's live move tables (core and
 guard rows), so they never complete a table.  The premises of a
@@ -130,38 +141,65 @@ class RunResult:
         return lo, min(1.0, lo + max(self.residual, 0.0) + self.pruned)
 
 
-def _verifier_step(verifier, cells, live, counts):
-    """One verifier step over the per-cell move tables, then the halting
-    projection.  Returns (unpruned survivors, accepted mass, rejected mass,
-    live mass with a non-blank comm cell, each non-halting target's largest
-    interaction count when counts is given).
+def _verifier_step(verifier, cells, live, counts, prune):
+    """One verifier step over the per-cell move tables, then, in one pass
+    over the summed entries, the halting projection, the query mass and
+    the prune.
+
+    Amplitudes are summed into a plain dict in target order, and a sum
+    that is exactly 0j drops its key, as SparseVector.add does.  Each
+    summed entry is then banked as accepted or rejected mass by its
+    state, or survives; a survivor's mass counts towards the query mass
+    when its comm cell is not blank, before the prune drops it when
+    |a| <= prune (none when prune <= 0).  Returns (survivors, accepted
+    mass, rejected mass, query mass, pruned mass, each survivor's largest
+    interaction count when counts is given, else None).
     """
     length = len(cells)
-    nxt = SparseVector()
-    nxt_counts = {} if counts is not None else None
+    nxt = {}
+    get = nxt.get
+    counting = counts is not None
+    if counting:
+        halting = verifier.halting_set
+        nxt_counts = {}
+        count_get = nxt_counts.get
     for key, a in live.items():
         q, k, g, y = key
-        base = counts[key] if counts is not None else 0
+        if counting:
+            base = counts[key]
         for amp, q2, g2, d in cells[k][q, g]:
             key2 = (q2, (k + d) % length, g2, y)
-            nxt.add(key2, a * amp)
-            if nxt_counts is not None and not verifier.is_halting(q2):
-                gain = 1 if g2 != BLANK else 0
-                nxt_counts[key2] = max(nxt_counts.get(key2, -1), base + gain)
+            z = get(key2, 0j) + a * amp
+            if z == 0j:
+                nxt.pop(key2, None)
+            else:
+                nxt[key2] = z
+            if counting and q2 not in halting:
+                c = base + 1 if g2 != BLANK else base
+                if count_get(key2, -1) < c:
+                    nxt_counts[key2] = c
+    accepting = verifier.accepting_set
+    rejecting = verifier.rejecting_set
     survivors = SparseVector()
-    accepted = rejected = query_mass = 0.0
+    survivor_counts = {} if counting else None
+    accepted = rejected = query_mass = pruned = 0.0
     for key, a in nxt.items():
-        q2 = key[0]
         w = (a * a.conjugate()).real
-        if verifier.is_accepting(q2):
+        q2 = key[0]
+        if q2 in accepting:
             accepted += w
-        elif verifier.is_rejecting(q2):
+        elif q2 in rejecting:
             rejected += w
         else:
-            survivors[key] = a
             if key[2] != BLANK:
                 query_mass += w
-    return survivors, accepted, rejected, query_mass, nxt_counts
+            if abs(a) <= prune:
+                pruned += w
+            else:
+                survivors[key] = a
+                if counting:
+                    survivor_counts[key] = nxt_counts[key]
+    return survivors, accepted, rejected, query_mass, pruned, survivor_counts
 
 
 def _pad_empty_steps(records, done, steps, p_acc, p_rej):
@@ -227,16 +265,15 @@ class RunState:
         """
         self.t = t = self.t + 1
         cfg = self.cfg
-        live, accepted, rejected, query_mass, nxt_counts = _verifier_step(
-            self.verifier, self.cells, self.live, self.counts)
+        live, accepted, rejected, query_mass, pruned, counts = (
+            _verifier_step(self.verifier, self.cells, self.live, self.counts,
+                           cfg.prune))
         self.live = live
         self.p_acc += accepted
         self.p_rej += rejected
-        self.pruned += live.prune(cfg.prune)
-        if self.counts is not None:
-            self.counts = counts = {
-                key: c for key, c in nxt_counts.items() if key in live
-            }
+        self.pruned += pruned
+        if counts is not None:
+            self.counts = counts
             if counts:
                 self.max_queries = max(self.max_queries, max(counts.values()))
         if cfg.check_conservation:
@@ -262,38 +299,59 @@ class RunState:
 
     def prover_round(self, prover):
         """Prover round t: one action per distinct (comm, tape id), shared
-        by every configuration that carries that pair.
+        by every configuration that carries that pair.  Amplitudes are
+        summed as in _verifier_step, then one pass keeps the entries with
+        |a| > prune and banks the rest as pruned mass.
         """
         t = self.t
-        live = self.live
         counts = self.counts
+        counting = counts is not None
+        responder = type(prover).apply is HistoryResponder.apply
         actions = {}
-        nxt = SparseVector()
-        nxt_counts = {} if counts is not None else None
-        for key, a in live.items():
+        nxt = {}
+        get = nxt.get
+        if counting:
+            nxt_counts = {}
+            count_get = nxt_counts.get
+        for key, a in self.live.items():
             q, k, g, i = key
             action = actions.get((g, i))
             if action is None:
-                action = actions[g, i] = self._action(prover, t, g, i)
-            base = counts[key] if counts is not None else 0
+                action = actions[g, i] = self._action(
+                    prover, responder, t, g, i)
+            if counting:
+                base = counts[key]
             for pamp, g2, i2 in action:
                 key2 = (q, k, g2, i2)
-                nxt.add(key2, a * pamp)
-                if nxt_counts is not None:
-                    nxt_counts[key2] = max(nxt_counts.get(key2, -1), base)
-        self.pruned += nxt.prune(self.cfg.prune)
-        self.live = nxt
-        if counts is not None:
+                z = get(key2, 0j) + a * pamp
+                if z == 0j:
+                    nxt.pop(key2, None)
+                else:
+                    nxt[key2] = z
+                if counting and count_get(key2, -1) < base:
+                    nxt_counts[key2] = base
+        prune = self.cfg.prune
+        live = SparseVector()
+        pruned = 0.0
+        for key, a in nxt.items():
+            if abs(a) <= prune:
+                pruned += (a * a.conjugate()).real
+            else:
+                live[key] = a
+        self.pruned += pruned
+        self.live = live
+        if counting:
             self.counts = nxt_counts
 
-    def _action(self, prover, t, g, i):
+    def _action(self, prover, responder, t, g, i):
         """The prover's round-t action on (comm g, tape id i) as
         [(amp, comm', tape id')], each output tape checked against the
-        truncation.  A prover acting as HistoryResponder.apply is asked
-        for its reply and record, and the record is appended by id.
+        truncation.  A responder (a prover acting as
+        HistoryResponder.apply) is asked for its reply and record, and the
+        record is appended by id.
         """
         y = self.tapes[i]
-        if type(prover).apply is HistoryResponder.apply:
+        if responder:
             reply, record = prover.respond(t, g)
             if len(y) + (record is not None) > self.trunc:
                 raise _truncation_error(self.trunc)
@@ -423,8 +481,10 @@ def run_mcomp(verifier, x, cfg=None):
     pruned = 0.0
     records = [] if cfg.record_steps else None
     for t in range(1, max_steps + 1):
-        live, accepted, rejected, query_mass, _ = _verifier_step(
-            verifier, cells, live, None)
+        # the kernel does not prune: the non-blank comm is projected out
+        # first, and the prune sees the blank-comm survivors only
+        live, accepted, rejected, query_mass, _, _ = _verifier_step(
+            verifier, cells, live, None, 0.0)
         p_acc += accepted
         p_rej += rejected
         live = SparseVector(

@@ -58,7 +58,17 @@ def _is_bool(value):
 
 
 def evaluate_amplitude(form, where="amplitude"):
-    """Evaluate one amplitude document form to a complex number."""
+    """Evaluate one amplitude document form to a complex number.  A form
+    whose numbers do not fit a float (a JSON integer such as 10**400) is
+    a ParseError, as is any other malformed form.
+    """
+    try:
+        return _amplitude(form, where)
+    except OverflowError:
+        _fail(where, "number too large for a float in amplitude form")
+
+
+def _amplitude(form, where):
     if isinstance(form, bool):
         _fail(where, "booleans are not amplitudes")
     if isinstance(form, (int, float)):

@@ -489,6 +489,39 @@ def test_prover_runs_once_per_comm_and_tape_per_round():
     assert len(calls) == len(triples) < configurations
 
 
+def _reference_verifier_step(verifier, cells, live, counts):
+    """One verifier step, then the halting projection, with no prune:
+    the reference kernel for the engine's one-pass _verifier_step.
+    Returns (survivors, accepted, rejected, query mass, each non-halting
+    target's largest interaction count when counts is given).
+    """
+    length = len(cells)
+    nxt = SparseVector()
+    nxt_counts = {} if counts is not None else None
+    for key, a in live.items():
+        q, k, g, y = key
+        base = counts[key] if counts is not None else 0
+        for amp, q2, g2, d in cells[k][q, g]:
+            key2 = (q2, (k + d) % length, g2, y)
+            nxt.add(key2, a * amp)
+            if nxt_counts is not None and not verifier.is_halting(q2):
+                gain = 1 if g2 != BLANK else 0
+                nxt_counts[key2] = max(nxt_counts.get(key2, -1), base + gain)
+    survivors = SparseVector()
+    accepted = rejected = query_mass = 0.0
+    for key, a in nxt.items():
+        w = (a * a.conjugate()).real
+        if verifier.is_accepting(key[0]):
+            accepted += w
+        elif verifier.is_rejecting(key[0]):
+            rejected += w
+        else:
+            survivors[key] = a
+            if key[2] != BLANK:
+                query_mass += w
+    return survivors, accepted, rejected, query_mass, nxt_counts
+
+
 def _reference_run(verifier, x, prover, cfg):
     """run_protocol keyed by the tape tuples themselves, one dict key
     (state, head, comm, tape) per configuration: the reference for the
@@ -512,7 +545,7 @@ def _reference_run(verifier, x, prover, cfg):
     for t in range(1, max_steps + 1):
         steps = t
         live, accepted, rejected, query_mass, nxt_counts = (
-            engine._verifier_step(verifier, cells, live, counts))
+            _reference_verifier_step(verifier, cells, live, counts))
         p_acc += accepted
         p_rej += rejected
         pruned_mass += live.prune(cfg.prune)
@@ -719,6 +752,100 @@ def test_one_way_runs_match_the_reference_that_steps_every_cell(kwargs,
                              _reference_run(v, x, prover, cfg))
 
 
+# Columns of a 4x4 Hadamard-type unitary on the targets (t1, t2, t3, t4).
+# Applied to amplitudes (a, a, b) on columns 1, 2 and 3, targets t1 and
+# t4 cancel to exactly 0j after column 2, and column 3 lands on them
+# again.
+_CANCELLING_COLUMNS = ((0.5, 0.5, 0.5, 0.5), (-0.5, 0.5, 0.5, -0.5),
+                       (0.5, -0.5, 0.5, -0.5), (0.5, 0.5, -0.5, -0.5))
+_SPREAD = (math.sqrt(0.455), math.sqrt(0.455), 0.3)
+
+
+def _cancelling_verifier(mix):
+    """One-way, on input "0": the step on `^` spreads _SPREAD over three
+    branches, and on "0" _CANCELLING_COLUMNS maps them onto four accepting
+    states.  mix="verifier" takes that map in the verifier step
+    (branches q1..q3, targets acc1..acc4); mix="prover" lets the round-1
+    prover take it on the comm cell (branches and targets g1..g4, each
+    read into its own accepting state).
+    """
+    on_zero = {}
+    if mix == "verifier":
+        comm = (BLANK,)
+        live = ("q0", "q1", "q2", "q3")
+        spread = tuple(zip(_SPREAD, live[1:], (BLANK,) * 3))
+        for j, column in enumerate(_CANCELLING_COLUMNS[:3], start=1):
+            on_zero["q%d" % j, BLANK] = tuple(
+                (amp, "acc%d" % i, BLANK)
+                for i, amp in enumerate(column, start=1))
+    else:
+        comm = (BLANK, "g1", "g2", "g3", "g4")
+        live = ("q0", "q1")
+        spread = tuple(zip(_SPREAD, ("q1",) * 3, comm[1:4]))
+        for i, g in enumerate(comm[1:], start=1):
+            on_zero["q1", g] = ((1.0, "acc%d" % i, BLANK),)
+    return complete_verifier(
+        name="cancel-" + mix, input_alphabet=("0",), comm_alphabet=comm,
+        non_halting=live, accepting=("acc1", "acc2", "acc3", "acc4"),
+        rejecting=("rej",), initial="q0", two_way=False,
+        core_rows={LEFT_END: {("q0", BLANK): spread}, "0": on_zero},
+        head_dir={})
+
+
+@pytest.mark.parametrize("mix", ["verifier", "prover"])
+def test_a_key_that_cancels_to_zero_returns_at_the_end_of_dict_order(mix):
+    # targets 1 and 4 cancel to 0j and are entered again after targets 2
+    # and 3, so the accepted mass sums in the order 2, 3, 1, 4; a sum that
+    # kept the cancelled keys in place would add in the order 1, 2, 3, 4
+    v = _cancelling_verifier(mix)
+    prover = IdentityProver()
+    if mix == "prover":
+        basis = [(g, ()) for g in ("g1", "g2", "g3", "g4")]
+        prover = ExplicitRoundProver(
+            {1: (basis, [list(row) for row in zip(*_CANCELLING_COLUMNS)])})
+    cfg = EngineConfig(record_steps=True, count_interactions=True)
+    got = run_protocol(v, "0", prover, cfg)
+    _assert_same_run(got, _reference_run(v, "0", prover, cfg))
+    # the two orders give different floats, so the test tells them apart
+    amps = [sum((complex(a) * col[i]
+                 for a, col in zip(_SPREAD, _CANCELLING_COLUMNS)), 0j)
+            for i in range(4)]
+    w = [(z * z.conjugate()).real for z in amps]
+    assert got.p_acc == 0.0 + w[1] + w[2] + w[0] + w[3]
+    assert got.p_acc != 0.0 + w[0] + w[1] + w[2] + w[3]
+
+
+def test_query_mass_counts_the_survivors_the_prune_then_drops():
+    # the prover sends amplitude 0.02 to comm "m"; on "0" that branch
+    # keeps amplitude 0.02 * 0.03 = 6e-4 <= prune on comm "m", so step 2
+    # measures it as query mass and then prunes it
+    s0, s = 0.02, 0.03
+    c0, c = math.sqrt(1 - s0 * s0), math.sqrt(1 - s * s)
+    rows = {
+        LEFT_END: {("q0", BLANK): ((1.0, "q1", BLANK),)},
+        "0": {("q1", BLANK): ((1.0, "q2", BLANK),),
+              ("q1", "m"): ((c, "q3", BLANK), (s, "q4", "m"))},
+        RIGHT_END: {("q2", BLANK): ((1.0, "acc", BLANK),),
+                    ("q3", BLANK): ((1.0, "acc2", BLANK),)},
+    }
+    v = complete_verifier(
+        name="small-query", input_alphabet=("0",), comm_alphabet=(BLANK, "m"),
+        non_halting=("q0", "q1", "q2", "q3", "q4"),
+        accepting=("acc", "acc2"), rejecting=("rej",), initial="q0",
+        two_way=False, core_rows=rows, head_dir={})
+    prover = ExplicitRoundProver({1: ([(BLANK, ()), ("m", ())],
+                                      [[c0, -s0], [s0, c0]])})
+    cfg = EngineConfig(prune=1e-3, record_steps=True,
+                       count_interactions=True, check_conservation=True)
+    got = run_protocol(v, "0", prover, cfg)
+    _assert_same_run(got, _reference_run(v, "0", prover, cfg))
+    step2 = got.step_records[1]
+    assert [key[:3] for key, _ in step2.live] == [("q2", 2, BLANK),
+                                                   ("q3", 2, BLANK)]
+    assert step2.query_mass == pytest.approx((s0 * s) ** 2, rel=1e-12)
+    assert got.pruned == pytest.approx((s0 * s) ** 2, rel=1e-12)
+
+
 def _reference_mcomp(verifier, x, cfg):
     """run_mcomp stepping every cell, also after the live vector empties."""
     cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
@@ -727,7 +854,7 @@ def _reference_mcomp(verifier, x, cfg):
     p_acc = p_rej = pruned = 0.0
     records = []
     for t in range(1, len(cells) + 1):
-        live, accepted, rejected, query_mass, _ = engine._verifier_step(
+        live, accepted, rejected, query_mass, _ = _reference_verifier_step(
             verifier, cells, live, None)
         p_acc += accepted
         p_rej += rejected

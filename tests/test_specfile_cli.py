@@ -134,6 +134,22 @@ def test_re_and_im_that_are_not_numbers_are_a_parse_error(form, tmp_path,
     assert "re/im must be numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", [
+    10 ** 400, {"re": 10 ** 400}, {"im": -10 ** 400},
+    {"fourier": [10 ** 400, 1, 1]}, {"invsqrt": 10 ** 400},
+])
+def test_a_number_too_large_for_a_float_is_a_parse_error(form, tmp_path,
+                                                         capsys):
+    with pytest.raises(ParseError, match="^here: number too large"):
+        evaluate_amplitude(form, "here")
+    doc = _toy_document()
+    doc["rows"]["0"][0]["targets"][0][0] = form
+    assert _check_document(doc, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "rows['0'][0].targets[0]: number too large for a float" in err
+    assert "Traceback" not in err
+
+
 def _toy_document():
     return json.loads(serialize_spec(resolve_spec("toy_explicit").document))
 
