@@ -19,6 +19,11 @@ Tables are assembled from three row classes:
   semantics).  They are built on first use, by a reader of the full
   table (the step operator, the export), and kept; runs, sweeps and
   checks read only the live tables: core and guard rows.
+
+Well-formedness is the unitarity of the step operator on (state, head,
+comm).  Checks derive it from the per-symbol tables (validate_wellformed)
+and build no step operator; build_step_operator is a plain loop over the
+basis, kept as the reference those derivations are tested against.
 """
 
 import itertools
@@ -71,33 +76,6 @@ class MoveTable(dict):
         )
 
 
-class CompiledMoves(NamedTuple):
-    """One padded symbol's moves as read-only COO arrays over the pair
-    index q_index * |comm| + g_index (states x comm_alphabet order): entry
-    i sends source pair src[i] to target pair dst[i] with amplitude amp[i]
-    and head direction dirs[i].  Entries follow the rows' order.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-    dirs: np.ndarray
-    amp: np.ndarray
-
-
-def _compile_moves(table, pair_index):
-    entries = [
-        (pair_index[key], pair_index[q2, g2], d, amp)
-        for key, targets in table.items()
-        for amp, q2, g2, d in targets
-    ]
-    columns = zip(*entries) if entries else ((), (), (), ())
-    arrays = [np.array(col, dtype=dtype) for col, dtype
-              in zip(columns, (np.int64, np.int64, np.int64, complex))]
-    for a in arrays:
-        a.setflags(write=False)
-    return CompiledMoves(*arrays)
-
-
 class _Tables(NamedTuple):
     """A verifier's full tables, as VerifierSpec's attributes of these names."""
 
@@ -114,20 +92,17 @@ class VerifierSpec:
     head_dir: {(state', comm'): direction}
     row_class: {symbol: {(state, comm): "core"|"guard"|"completion"}}
     moves: {padded symbol: MoveTable}, the rows with each target's head
-    direction attached.
-    compiled: {padded symbol: CompiledMoves}, the move tables as index
-    arrays over pair_index; the step operator reads these.
+    direction attached; the step operator reads these.
     pair_index: {(state, comm): index} in states x comm_alphabet order.
     accepting_set, rejecting_set, halting_set: frozensets of the halting
     states, which the engine's step kernel tests membership in.
 
-    Those five tables, and row() and class_of(), show the full table.  A
+    Those four tables, and row() and class_of(), show the full table.  A
     completable verifier (complete_verifier's) is given its core and
-    guard rows only.  Its completion rows, with their directions, moves
-    and compiled arrays, are built on the first read of a full table.  A
-    plain VerifierSpec, built from explicit rows, is not completable:
-    its full tables are the rows it was given, and a missing row stays
-    missing.
+    guard rows only.  Its completion rows, with their directions and
+    moves, are built on the first read of a full table.  A plain
+    VerifierSpec, built from explicit rows, is not completable: its full
+    tables are the rows it was given, and a missing row stays missing.
 
     live_moves are the move tables of the rows the verifier was given,
     and live_rows() iterates those rows.  Runs, sweeps, checks and the
@@ -136,10 +111,10 @@ class VerifierSpec:
     measured out in the step that reaches it.
 
     Facts that no input changes are cached properties, computed on
-    first read and kept: _full (the full tables), compiled,
-    per_symbol_defects, announcement and branching.  The live tables are
-    built once in __init__ and never mutated, and completion builds new
-    tables beside them, so every kept fact stays valid.
+    first read and kept: _full (the full tables), per_symbol_defects,
+    announcement and branching.  The live tables are built once in
+    __init__ and never mutated, and completion builds new tables beside
+    them, so every kept fact stays valid.
     """
 
     def __init__(self, name, input_alphabet, comm_alphabet, non_halting,
@@ -216,11 +191,6 @@ class VerifierSpec:
     def moves(self):
         return self._full.moves
 
-    @cached_property
-    def compiled(self):
-        return {sym: _compile_moves(table, self.pair_index)
-                for sym, table in self.moves.items()}
-
     # -- analyses of the live tables -------------------------------------
 
     @cached_property
@@ -237,12 +207,17 @@ class VerifierSpec:
                     not self.completable or any(p not in table for p in live)):
                 defects[sym] = float("inf")
                 continue
-            c = _compile_moves(table, index)
-            columns = np.array(sorted(index[key] for key in table),
-                               dtype=np.int64)
+            column = {key: j for j, key in
+                      enumerate(sorted(table, key=index.__getitem__))}
+            data, rows_ix, cols_ix = [], [], []
+            for key, targets in table.items():
+                for amp, q2, g2, _d in targets:
+                    data.append(amp)
+                    rows_ix.append(index[q2, g2])
+                    cols_ix.append(column[key])
             mat = scipy.sparse.csr_matrix(
-                (c.amp, (c.dst, np.searchsorted(columns, c.src))),
-                shape=(len(index), len(columns)), dtype=complex)
+                (data, (rows_ix, cols_ix)),
+                shape=(len(index), len(column)), dtype=complex)
             _, defects[sym] = check_isometry(mat)
         return defects
 
@@ -640,45 +615,33 @@ def step_basis(verifier, x):
 def build_step_operator(verifier, x):
     """The verifier-step unitary on (state, head, comm) for input x.
 
-    Returns (matrix, basis) with the matrix in CSR form.  Each symbol's
-    compiled arrays are tiled over the tape positions that carry it.
-    Raises the move table's ValidationError when the tape scans a symbol
-    with a missing row.
+    Returns (matrix, basis) with the matrix in CSR form and the basis in
+    step_basis order.  Reads the full tables, so a completable verifier
+    is completed first.  Raises the move table's ValidationError at the
+    first basis label whose row is missing.
     """
     tape = padded_input(x, verifier.input_alphabet)
     return _step_matrix(verifier, tape), step_basis(verifier, x)
 
 
 def _step_matrix(verifier, tape):
-    """build_step_operator's matrix for a padded tape, without the basis."""
+    """build_step_operator's matrix for a padded tape, without the basis:
+    one loop over the basis labels, one column each, entering each row's
+    targets in row order (a target listed twice is summed in that order).
+    """
     length = len(tape)
-    width = len(verifier.comm_alphabet)
-    n_pairs = len(verifier.states) * width
-    if any(len(verifier.moves[s]) != n_pairs for s in tape):
-        # raises at the first missing row in basis order
-        for q, k, g in itertools.product(verifier.states, range(length),
-                                         verifier.comm_alphabet):
-            verifier.moves[tape[k]][q, g]
-    cols, rows_ix, data = [], [], []
-    for sym in dict.fromkeys(tape):
-        c = verifier.compiled[sym]
-        ks = np.array([k for k, s in enumerate(tape) if s == sym])[:, None]
-        sq, sg = np.divmod(c.src, width)
-        dq, dg = np.divmod(c.dst, width)
-        cols.append(((sq * length + ks) * width + sg).ravel())
-        rows_ix.append(((dq * length + (ks + c.dirs) % length) * width
-                        + dg).ravel())
-        data.append(np.tile(c.amp, len(ks)))
-    # entries reach scipy in basis-loop order (by column, each row's
-    # targets in row order), so a target a row lists twice is summed in
-    # the same order, bit for bit, as by a loop over the basis
-    col = np.concatenate(cols)
-    order = np.argsort(col, kind="stable")
-    size = n_pairs * length
+    basis = list(itertools.product(verifier.states, range(length),
+                                   verifier.comm_alphabet))
+    index = {label: i for i, label in enumerate(basis)}
+    data, rows_ix, cols_ix = [], [], []
+    for col, (q, k, g) in enumerate(basis):
+        for amp, q2, g2, d in verifier.moves[tape[k]][q, g]:
+            data.append(amp)
+            rows_ix.append(index[q2, (k + d) % length, g2])
+            cols_ix.append(col)
     return scipy.sparse.csr_matrix(
-        (np.concatenate(data)[order],
-         (np.concatenate(rows_ix)[order], col[order])),
-        shape=(size, size), dtype=complex,
+        (data, (rows_ix, cols_ix)), shape=(len(basis), len(basis)),
+        dtype=complex,
     )
 
 

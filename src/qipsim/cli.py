@@ -532,9 +532,11 @@ def build_parser():
     p_check = sub.add_parser("check", parents=[common],
                              help="validate a spec file's declared claims")
     p_check.add_argument("--n-max", type=_at_least(0), default=3,
-                         help="max input length whose step defects, "
-                              "derived from the per-symbol defects, the "
-                              "wellformed rule reports")
+                         help="max input length whose step defects are "
+                              "derived from the per-symbol defects; the "
+                              "wellformed rule prints the worst defect, "
+                              "the same for every n-max, and more than "
+                              "100000 inputs exit 5")
     p_check.set_defaults(func=cmd_check)
 
     p_run = sub.add_parser("run", parents=[common, one_run],

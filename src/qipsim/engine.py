@@ -571,10 +571,10 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
     """Exact maximum acceptance over all fixed message schedules.
 
     For one-way verifiers whose live rows are branch-free the run has a
-    single live configuration at each step, so a memoized game-tree walk
-    over (step, state, head, comm) with the write chosen greedily per
-    round is exactly the optimum over every schedule (and every adaptive
-    prover).  Branching one-way verifiers raise FamilyInadequacyError.
+    single live configuration at each step, so a DP over (step, state,
+    comm) with the write chosen greedily per round (_schedule_dp) is
+    exactly the optimum over every schedule (and every adaptive prover).
+    Branching one-way verifiers raise FamilyInadequacyError.
 
     Two-way verifiers are covered when they are *announced* (see
     announcement_map): each round a schedule's write either repeats the
@@ -634,55 +634,77 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
 
 
 def _schedule_dp(verifier, x, cfg, committed_only):
+    """The one-way schedule DP over nodes (state, comm) per step.
+
+    A one-way head reads cell t - 1 at step t, so the head is not part of
+    a node.  A forward pass collects each step's reachable nodes and
+    reads their rows, step by step: when a table has several defective
+    rows (missing, or with a non-unimodular amplitude), the first one in
+    step order is raised.  A backward pass then values every node: 1
+    when its row accepts, 0 when it rejects or at the last step, else
+    the best over the next round's writes, the first maximiser in
+    comm_alphabet order winning.  runs counts the nodes.
+    """
     cells = [verifier.live_moves[s]
              for s in padded_input(x, verifier.input_alphabet)]
     length = len(cells)
-    memo = {}
-    choice = {}
 
-    def value(t, q, k, g):
-        key = (t, q, k, g)
-        if key in memo:
-            return memo[key]
-        amp, q2, g2, d = cells[k][q, g][0]
-        if abs(abs(amp) - 1.0) > 1e-9:
-            raise FamilyInadequacyError(
-                "non-unimodular branch-free amplitude at (%r, %r)" % (q, g)
-            )
-        if verifier.is_accepting(q2):
-            result = 1.0
-        elif verifier.is_rejecting(q2):
-            result = 0.0
-        elif t == length:
-            result = 0.0
-        else:
-            k2 = (k + d) % length
-            if committed_only and g2 == BLANK:
-                options = (BLANK,)
+    def options(g2):
+        if committed_only and g2 == BLANK:
+            return (BLANK,)
+        return verifier.comm_alphabet
+
+    # layers[t - 1]: {node: (value, None) or (None, (q2, g2))} at step t
+    layers = []
+    frontier = {(verifier.initial, BLANK): None}
+    for t in range(1, length + 1):
+        layer = {}
+        reached = {}
+        for q, g in frontier:
+            amp, q2, g2, _d = cells[t - 1][q, g][0]
+            if abs(abs(amp) - 1.0) > 1e-9:
+                raise FamilyInadequacyError(
+                    "non-unimodular branch-free amplitude at (%r, %r)"
+                    % (q, g))
+            if verifier.is_accepting(q2):
+                layer[q, g] = (1.0, None)
+            elif verifier.is_rejecting(q2) or t == length:
+                layer[q, g] = (0.0, None)
             else:
-                options = verifier.comm_alphabet
-            best, best_s = -1.0, None
-            for s in options:
-                v = value(t + 1, q2, k2, s)
-                if v > best:
-                    best, best_s = v, s
-            choice[key] = (best_s, q2, k2, g2)
-            result = best
-        memo[key] = result
-        return result
+                layer[q, g] = (None, (q2, g2))
+                for s in options(g2):
+                    reached[q2, s] = None
+        layers.append(layer)
+        if not reached:
+            break
+        frontier = reached
 
-    best = value(1, verifier.initial, 0, BLANK)
+    choice = {}
+    value = {}
+    for t in range(len(layers), 0, -1):
+        later, value = value, {}
+        for node, (result, move) in layers[t - 1].items():
+            if move is not None:
+                q2, g2 = move
+                result, best_s = -1.0, None
+                for s in options(g2):
+                    v = later[q2, s]
+                    if v > result:
+                        result, best_s = v, s
+                choice[t, node] = (best_s, q2, g2)
+            value[node] = result
     # reconstruct one optimal schedule
     writes = {}
-    t, q, k, g = 1, verifier.initial, 0, BLANK
-    while (t, q, k, g) in choice:
-        s, q2, k2, g2 = choice[(t, q, k, g)]
+    t, node = 1, (verifier.initial, BLANK)
+    while (t, node) in choice:
+        s, q2, g2 = choice[t, node]
         if s != g2:
             writes[t] = s
-        t, q, k, g = t + 1, q2, k2, s
+        t, node = t + 1, (q2, s)
     return ScheduleSweep(
-        input=x, best_p=float(best), schedule=writes, exact=True,
-        method="dp", runs=len(memo),
+        input=x, best_p=float(value[verifier.initial, BLANK]),
+        schedule=writes, exact=True, method="dp",
+        runs=sum(len(layer) for layer in layers),
         witness=run_protocol(verifier, x, MessageSchedule(writes), cfg),
     )
 

@@ -410,7 +410,7 @@ def _normalize_verifier_document(raw, source):
         rows_norm[sym] = norm_entries
 
     honest = raw.get("honest_prover", {"type": "identity"})
-    honest_norm = _normalize_honest(honest, source)
+    honest_norm = _normalize_honest(honest, source, comm_alphabet)
 
     document = {
         "format": FORMAT, "kind": "verifier", "name": name,
@@ -441,7 +441,7 @@ def _direction(d, source, where):
     return d
 
 
-def _normalize_honest(raw, source):
+def _normalize_honest(raw, source, comm_alphabet):
     if not isinstance(raw, dict):
         _fail(source, "honest_prover must be an object")
     kind = raw.get("type")
@@ -465,6 +465,9 @@ def _normalize_honest(raw, source):
                 _fail(source, "schedule writes map rounds >= 1 to symbols")
             if str(t) in writes:
                 _fail(source, "schedule writes name round %d twice" % t)
+            if value not in comm_alphabet:
+                _fail(source, "schedule writes %r in round %d, which is not "
+                      "in comm_alphabet" % (value, t))
             writes[str(t)] = value
         norm = {"type": "schedule", "writes": writes}
         if "prover_id" in raw:

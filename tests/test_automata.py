@@ -33,7 +33,7 @@ from qipsim.automata import (
 )
 from qipsim.cli import resolve_spec
 from qipsim.errors import EngineError, ValidationError
-from qipsim.linalg import check_unitary
+from qipsim.linalg import check_isometry, check_unitary
 from strategies import core_tables
 
 
@@ -161,12 +161,6 @@ def test_move_tables_attach_head_directions():
     assert set(v.moves) == set(v.padded_alphabet)
     assert v.moves["0"]["q0", BLANK] == ((1.0, "q0", BLANK, -1),)
     assert v.moves[RIGHT_END]["q0", BLANK] == ((1.0, "acc", BLANK, 0),)
-    # entries follow the rows, the core row first; its pairs (q0, #) and
-    # (acc, #) have indices 0 and 1, since states are (q0, acc, ...)
-    compiled = v.compiled[RIGHT_END]
-    assert [a[0] for a in compiled] == [0, 1, 0, 1.0]
-    assert len(compiled.src) == len(v.states)
-    assert not any(a.flags.writeable for a in compiled)
     gappy = VerifierSpec(
         name="gappy", input_alphabet=("0",), comm_alphabet=(BLANK,),
         non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
@@ -372,7 +366,7 @@ def test_live_column_check_needs_the_rows_completion_cannot_supply():
 
 def _reference_step_operator(verifier, x):
     """(matrix, basis) built by a loop over the basis, one row lookup per
-    (state, head, comm) label: the reference for the tiled build.
+    (state, head, comm) label: the reference for build_step_operator.
     """
     tape = padded_input(x, verifier.input_alphabet)
     basis = [(q, k, g) for q in verifier.states for k in range(len(tape))
@@ -430,6 +424,48 @@ def test_tiled_step_operator_matches_the_basis_loop(kwargs, data):
         with pytest.raises(ValidationError, match="incomplete table") as got:
             build_step_operator(gappy, x)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("token", SHIPPED)
+def test_shipped_step_operators_equal_the_basis_loop(token):
+    # the shipped full tables carry completion rows with QR-complement
+    # amplitudes, which random core tables seldom reach
+    v = resolve_spec(token).make().verifier
+    for n in range(3):
+        for w in itertools.product(v.input_alphabet, repeat=n):
+            mat, basis = build_step_operator(v, "".join(w))
+            want, want_basis = _reference_step_operator(v, "".join(w))
+            assert basis == want_basis
+            assert _same_csr(mat, want)
+
+
+@pytest.mark.parametrize("token", SHIPPED)
+def test_per_symbol_check_reads_live_columns_in_pair_order(token,
+                                                           monkeypatch):
+    v = resolve_spec(token).make().verifier
+    checked = []
+
+    def spy(mat):
+        checked.append(mat)
+        return check_isometry(mat)
+
+    monkeypatch.setattr(automata, "check_isometry", spy)
+    del v.per_symbol_defects  # read afresh below
+    assert set(v.per_symbol_defects) == set(v.padded_alphabet)
+    assert len(checked) == len(v.padded_alphabet)
+    for sym, mat in zip(v.padded_alphabet, checked):
+        table = v.live_moves[sym]
+        keys = [pair for pair in v.pair_index if pair in table]
+        data, rows_ix, cols_ix = [], [], []
+        for j, key in enumerate(keys):
+            for amp, q2, g2, _d in table[key]:
+                data.append(amp)
+                rows_ix.append(v.pair_index[q2, g2])
+                cols_ix.append(j)
+        want = scipy.sparse.csr_matrix(
+            (data, (rows_ix, cols_ix)), shape=(len(v.pair_index), len(keys)),
+            dtype=complex)
+        assert _same_csr(mat, want)
 
 
 def parity_machine():

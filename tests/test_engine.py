@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qipsim import engine
+from qipsim import cli, engine
 from qipsim.automata import (
     BLANK, LEFT_END, RIGHT_END, build_step_operator, complete_verifier,
     padded_input,
@@ -157,6 +157,16 @@ def test_schedule_dp_refuses_a_missing_live_row(odd):
     gappy = parse_spec(serialize_spec(doc)).make().verifier
     with pytest.raises(ValidationError, match="incomplete table"):
         best_schedule_acceptance(gappy, "0", method="dp")
+
+
+@pytest.mark.parametrize("token", ["zero", "odd"])
+def test_schedule_dp_runs_inputs_past_the_recursion_limit(token, capsys):
+    bundle = make_bundle(token)
+    for x in ("0" * 1500, "0" * 1499 + "1", "0" * 750 + "1" + "0" * 750):
+        sweep = best_schedule_acceptance(bundle.verifier, x)
+        assert sweep.best_p == float(bundle.language(x))
+    assert cli.main(["sweep", token, "--inputs", "0" * 1500]) == 0
+    assert "0" * 1500 in capsys.readouterr().out
 
 
 @settings(max_examples=40, deadline=None)

@@ -190,6 +190,20 @@ def test_schedule_writes_naming_one_round_twice_are_a_parse_error(
     assert "round 1 twice" in capsys.readouterr().err
 
 
+def test_schedule_writes_outside_the_comm_alphabet_are_a_parse_error(
+        tmp_path, capsys):
+    doc = _toy_document()
+    doc["honest_prover"] = {"type": "schedule", "writes": {"1": "zz"}}
+    message = "schedule writes 'zz' in round 1"
+    with pytest.raises(ParseError, match=message):
+        parse_spec(json.dumps(doc))
+    assert _check_document(doc, tmp_path) == 2
+    assert message in capsys.readouterr().err
+    path = tmp_path / "edited.spec"
+    assert main(["run", str(path), "--input", "0"]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["bundle", "verifier"])
 @pytest.mark.parametrize("claim,value,expected", [
     ("public", "false", "a boolean"),
