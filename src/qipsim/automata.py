@@ -23,7 +23,8 @@ Tables are assembled from three row classes:
 Well-formedness is the unitarity of the step operator on (state, head,
 comm).  Checks derive it from the per-symbol tables (validate_wellformed)
 and build no step operator; build_step_operator is a plain loop over the
-basis, kept as the reference those derivations are tested against.
+basis, kept as the reference those derivations are tested against.  It
+is the one user of scipy, and the completion's QR the one of numpy.
 """
 
 import itertools
@@ -31,11 +32,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-import scipy.sparse
-
 from .errors import EngineError, ValidationError
-from .linalg import as_integer, check_isometry, ensure_finite
+from .linalg import as_integer, ensure_finite, isometry_defect
 
 LEFT_END = "^"
 RIGHT_END = "$"
@@ -207,18 +205,10 @@ class VerifierSpec:
                     not self.completable or any(p not in table for p in live)):
                 defects[sym] = float("inf")
                 continue
-            column = {key: j for j, key in
-                      enumerate(sorted(table, key=index.__getitem__))}
-            data, rows_ix, cols_ix = [], [], []
-            for key, targets in table.items():
-                for amp, q2, g2, _d in targets:
-                    data.append(amp)
-                    rows_ix.append(index[q2, g2])
-                    cols_ix.append(column[key])
-            mat = scipy.sparse.csr_matrix(
-                (data, (rows_ix, cols_ix)),
-                shape=(len(index), len(column)), dtype=complex)
-            _, defects[sym] = check_isometry(mat)
+            keys = sorted(table, key=index.__getitem__)
+            defects[sym] = isometry_defect(
+                [(index[q2, g2], j, amp) for j, key in enumerate(keys)
+                 for amp, q2, g2, _d in table[key]], len(keys))
         return defects
 
     @cached_property
@@ -524,6 +514,7 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
 def _complete_symbol(table, classes, all_states, comm_alphabet,
                      resolved_dir, two_way):
     """Fill the missing columns of one per-symbol table in place."""
+    import numpy as np
     all_pairs = [
         (q, g) for q in all_states for g in comm_alphabet
     ]
@@ -629,6 +620,7 @@ def _step_matrix(verifier, tape):
     one loop over the basis labels, one column each, entering each row's
     targets in row order (a target listed twice is summed in that order).
     """
+    import scipy.sparse
     length = len(tape)
     basis = list(itertools.product(verifier.states, range(length),
                                    verifier.comm_alphabet))
@@ -671,16 +663,18 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
     table (one per row) must be orthonormal.  Orthonormal columns always
     extend to a unitary table, and completion builds that extension on
     the columns no run reads, so the check needs no completion.  Each
-    defect is linalg.check_isometry's on the live columns; a symbol with
+    defect is linalg.isometry_defect's on the live columns; a symbol with
     a missing row that completion does not supply (a live source, or
     any source of a plain verifier) has defect inf.  The per-symbol
     defects do not depend on tau: they are the verifier's cached
     per_symbol_defects.
 
     `inputs` optionally lists strings whose step-operator defects are
-    reported as well; they are derived, not built.  Head movement is a
-    function of the target pair, so the step operator is a permutation
-    times a block diagonal of the per-symbol tables of the tape's cells.
+    reported as well; they are derived, not built, and never exceed the
+    worst per-symbol defect, so `qipsim check` lists none.  Head
+    movement is a function of the target pair, so the step operator is a
+    permutation times a block diagonal of the per-symbol tables of the
+    tape's cells.
     Its Gram matrix is therefore block diagonal with the per-symbol Gram
     matrices as blocks, and an input's defect is the largest per-symbol
     defect over the symbols on its tape (inf when one is inf).  ok is

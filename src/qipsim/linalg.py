@@ -1,10 +1,11 @@
-"""Small complex linear-algebra helpers used by the simulation engine."""
+"""Small complex linear-algebra helpers used by the simulation engine.
+
+The isometry check is plain Python.  numpy is imported only by the
+Fourier amplitudes and for a dense matrix; scipy never is.
+"""
 
 import math
 import numbers
-
-import numpy as np
-import scipy.sparse
 
 from .errors import LinalgError
 
@@ -16,6 +17,7 @@ def make_qft(n):
     column indices, so the n=2 instance is [[-1, 1], [1, 1]] / sqrt(2).
     Raises LinalgError for n < 1.
     """
+    import numpy as np
     n = _dimension(n)
     idx = np.arange(1, n + 1)
     return _fourier(np.outer(idx, idx), n)
@@ -25,6 +27,7 @@ def fourier_entry(n, j, l):
     """make_qft(n)[l - 1, j - 1] with j and l taken modulo n into 1..n,
     computed as make_qft computes it, so the bits agree.
     """
+    import numpy as np
     n = _dimension(n)
     products = np.array([float(((j - 1) % n + 1) * ((l - 1) % n + 1))])
     return complex(_fourier(products, n)[0])
@@ -49,6 +52,7 @@ def _dimension(n):
 
 
 def _fourier(products, n):
+    import numpy as np
     return np.exp(2j * np.pi * products / n) / math.sqrt(n)
 
 
@@ -58,49 +62,70 @@ def check_unitary(matrix, tau=1e-9):
     check_isometry's result for a square matrix.  Raises LinalgError when
     the input is not a square matrix.
     """
-    u = _gram_input(matrix)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise LinalgError(
-            "invalid dimension: unitarity check needs a square matrix, got shape %r"
-            % (u.shape,)
-        )
-    return check_isometry(u, tau)
+    shape, entries = _entries(matrix)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise LinalgError("invalid dimension: unitarity check needs a "
+                          "square matrix, got shape %r" % (shape,))
+    defect = isometry_defect(entries, shape[1])
+    return defect <= tau, defect
 
 
 def check_isometry(matrix, tau=1e-9):
     """Return (ok, defect) where defect = max |(U* U - I)_ij| for an m x n
     matrix U: how far its columns are from orthonormal.
 
-    The matrix is a scipy sparse matrix, used as is, or anything numpy
-    reads as a 2-D complex array, which is converted to CSR first; both
-    take the same sparse Gram product.  The defect is read off the Gram
-    matrix's stored entries, 1 subtracted on the diagonal; a diagonal
-    entry it does not store counts as defect 1.  ok is defect <= tau.
-    Raises LinalgError when the input is not a 2-D matrix.
+    The matrix is a scipy sparse matrix, read through its tocoo(), or
+    anything numpy reads as a 2-D complex array, read by its nonzero
+    entries; both hand those entries to isometry_defect.  ok is
+    defect <= tau.  Raises LinalgError when the input is not a 2-D
+    matrix.
     """
-    u = _gram_input(matrix)
-    if u.ndim != 2:
-        raise LinalgError(
-            "invalid dimension: isometry check needs a 2-D matrix, got shape %r"
-            % (u.shape,)
-        )
-    if not scipy.sparse.issparse(u):
-        u = scipy.sparse.csr_matrix(u)
-    # a CSR u gives a CSC Gram matrix, so tocsc() is free on that path
-    gram = (u.conj().T @ u).tocsc()
-    columns = np.repeat(np.arange(gram.shape[1]), np.diff(gram.indptr))
-    on_diagonal = gram.indices == columns
-    deviations = np.abs(gram.data - on_diagonal)
-    defect = float(np.max(deviations)) if deviations.size else 0.0
-    if np.count_nonzero(on_diagonal) < gram.shape[0]:
-        defect = max(defect, 1.0)
+    shape, entries = _entries(matrix)
+    if len(shape) != 2:
+        raise LinalgError("invalid dimension: isometry check needs a 2-D "
+                          "matrix, got shape %r" % (shape,))
+    defect = isometry_defect(entries, shape[1])
     return defect <= tau, defect
 
 
-def _gram_input(matrix):
-    if scipy.sparse.issparse(matrix):
-        return matrix
-    return np.asarray(matrix, dtype=complex)
+def _entries(matrix):
+    if hasattr(matrix, "tocoo"):  # scipy sparse, read without importing scipy
+        u = matrix.tocoo()
+        return u.shape, zip(u.row.tolist(), u.col.tolist(), u.data.tolist())
+    import numpy as np
+    u = np.asarray(matrix, dtype=complex)
+    index = u.nonzero()
+    return u.shape, zip(*(i.tolist() for i in index), u[index].tolist())
+
+
+def isometry_defect(entries, n_cols):
+    """max |(U* U - I)_ij| for the matrix U with n_cols columns whose
+    entries are the given (row, column, value) triples.
+
+    A (row, column) pair given twice is summed in the order given.  Each
+    Gram entry sums conj(a) * b over the rows in increasing row order,
+    so every caller gets the same bits for the same matrix.  A Gram
+    diagonal entry that no row forms is 0, so its defect is 1.  A nan
+    anywhere makes the defect nan, as numpy's max would.
+    """
+    by_row = {}
+    for row, col, value in entries:
+        cells = by_row.setdefault(row, {})
+        cells[col] = cells[col] + value if col in cells else value
+    gram = {}
+    for row in sorted(by_row):
+        cells = by_row[row].items()
+        for i, a in cells:
+            a = a.conjugate()
+            for j, b in cells:
+                gram[i, j] = gram[i, j] + a * b if (i, j) in gram else a * b
+    deviations = [abs(z - (i == j)) for (i, j), z in gram.items()]
+    defect = float(max(deviations, default=0.0))
+    if any(map(math.isnan, deviations)):
+        defect = math.nan
+    if sum(i == j for i, j in gram) < n_cols:
+        defect = max(defect, 1.0)
+    return defect
 
 
 def ensure_finite(amplitude, context="amplitude"):

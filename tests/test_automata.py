@@ -33,7 +33,7 @@ from qipsim.automata import (
 )
 from qipsim.cli import resolve_spec
 from qipsim.errors import EngineError, ValidationError
-from qipsim.linalg import check_isometry, check_unitary
+from qipsim.linalg import check_unitary, isometry_defect
 from strategies import core_tables
 
 
@@ -445,27 +445,22 @@ def test_per_symbol_check_reads_live_columns_in_pair_order(token,
     v = resolve_spec(token).make().verifier
     checked = []
 
-    def spy(mat):
-        checked.append(mat)
-        return check_isometry(mat)
+    def spy(entries, n_cols):
+        checked.append((list(entries), n_cols))
+        return isometry_defect(*checked[-1])
 
-    monkeypatch.setattr(automata, "check_isometry", spy)
+    monkeypatch.setattr(automata, "isometry_defect", spy)
     del v.per_symbol_defects  # read afresh below
     assert set(v.per_symbol_defects) == set(v.padded_alphabet)
     assert len(checked) == len(v.padded_alphabet)
-    for sym, mat in zip(v.padded_alphabet, checked):
+    for sym, (entries, n_cols) in zip(v.padded_alphabet, checked):
         table = v.live_moves[sym]
         keys = [pair for pair in v.pair_index if pair in table]
-        data, rows_ix, cols_ix = [], [], []
-        for j, key in enumerate(keys):
-            for amp, q2, g2, _d in table[key]:
-                data.append(amp)
-                rows_ix.append(v.pair_index[q2, g2])
-                cols_ix.append(j)
-        want = scipy.sparse.csr_matrix(
-            (data, (rows_ix, cols_ix)), shape=(len(v.pair_index), len(keys)),
-            dtype=complex)
-        assert _same_csr(mat, want)
+        want = [(v.pair_index[q2, g2], j, amp)
+                for j, key in enumerate(keys)
+                for amp, q2, g2, _d in table[key]]
+        assert entries == want
+        assert n_cols == len(keys)
 
 
 def parity_machine():

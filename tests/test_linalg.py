@@ -15,6 +15,7 @@ from qipsim.linalg import (
     check_isometry,
     check_unitary,
     ensure_finite,
+    isometry_defect,
     make_qft,
 )
 
@@ -85,7 +86,9 @@ def small_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_matrices(), st.sampled_from(("dense", "csr", "csc")))
 def test_check_unitary_defect_is_the_dense_gram_defect(u, form):
-    want = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    # Python's abs is correctly rounded; numpy's vectorised one is not
+    gram = u.conj().T @ u - np.eye(u.shape[0])
+    want = max(abs(z) for z in gram.ravel().tolist())
     zero_column = not u.any(axis=0).all()
     given_u = (u.tolist() if form == "dense"
                else getattr(scipy.sparse, form + "_matrix")(u))
@@ -160,3 +163,54 @@ def test_check_isometry_takes_rectangular_matrices():
     assert check_isometry(u) == check_unitary(u)
     with pytest.raises(LinalgError):
         check_isometry([1, 0])
+
+
+def _same_check(sparse, dense, entries, n_cols):
+    """The sparse, dense and raw-entry forms of one matrix give the same
+    (ok, defect); returns the defect."""
+    defect = isometry_defect(entries, n_cols)
+    assert check_isometry(sparse) == check_isometry(dense) == (
+        defect <= 1e-9, defect)
+    return defect
+
+
+def test_isometry_defect_sums_a_repeated_pair_first():
+    # (0, 0) is given twice: 0.6 + 0.2j is the summed entry
+    coo = scipy.sparse.coo_matrix(
+        ([0.6, 0.2j, 0.8, 1j], ([0, 0, 1, 2], [0, 0, 0, 1])), shape=(3, 2))
+    entries = list(zip(coo.row.tolist(), coo.col.tolist(),
+                       coo.data.tolist()))
+    dense = coo.toarray()
+    assert dense[0, 0] == 0.6 + 0.2j
+    defect = _same_check(coo, dense, entries, 2)
+    gram = dense.conj().T @ dense - np.eye(2)
+    assert defect == max(abs(z) for z in gram.ravel().tolist())
+    assert defect > 1e-3
+
+
+def test_isometry_defect_of_a_stored_zero_or_a_zero_column_is_one():
+    # a stored explicit zero forms a Gram diagonal entry of 0
+    coo = scipy.sparse.coo_matrix(([1.0, 0.0], ([0, 1], [0, 1])),
+                                  shape=(2, 2))
+    assert coo.nnz == 2
+    stored = [(0, 0, 1.0), (1, 1, 0.0)]
+    assert _same_check(coo, coo.toarray(), stored, 2) >= 1.0
+    # an all-zero column forms none
+    dense = [[1, 0], [0, 0], [0, 0]]
+    assert _same_check(scipy.sparse.csr_matrix(dense), dense,
+                       [(0, 0, 1.0)], 2) >= 1.0
+    assert isometry_defect([], 1) == 1.0
+    assert isometry_defect([], 0) == 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_isometry_defect_of_the_fourier_matrix(n):
+    u = make_qft(n)
+    entries = [(r, c, z) for r, row in enumerate(u.tolist())
+               for c, z in enumerate(row) if z]
+    assert _same_check(scipy.sparse.csr_matrix(u), u, entries, n) <= 1e-12
+
+
+def test_isometry_defect_keeps_a_nan():
+    # the nan entry is read after the exact one, and still wins
+    assert math.isnan(isometry_defect([(0, 0, 1.0), (1, 1, math.nan)], 2))

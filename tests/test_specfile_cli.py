@@ -5,7 +5,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -398,6 +400,39 @@ def test_cli_rejects_out_of_range_flags(argv, flag, capsys):
     assert "error: argument %s:" % flag in capsys.readouterr().err
 
 
+def test_cli_check_n_max_does_not_change_the_output(capsys):
+    # the wellformed rule prints the worst per-symbol defect, which no
+    # input length changes, so a large --n-max enumerates nothing
+    assert main(["check", "odd", "--n-max", "0"]) == 0
+    want = capsys.readouterr().out
+    assert main(["check", "odd", "--n-max", "20"]) == 0
+    assert capsys.readouterr().out == want
+
+
+IMPORT_PROBE = """
+import sys
+from qipsim.cli import main
+for argv in %r:
+    assert main(argv) == 0, argv
+print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
+"""
+
+
+@pytest.mark.parametrize("commands, loaded", [
+    # no Fourier amplitudes: neither numpy nor scipy is imported
+    ([["check", "odd"], ["sweep", "odd", "--max-len", "3"],
+      ["run", "zero", "--input", "0101"]], []),
+    # center's Fourier amplitudes take numpy's bits; scipy stays out
+    ([["check", "center"]], ["numpy"]),
+])
+def test_commands_import_numpy_only_for_fourier_amplitudes(commands, loaded):
+    src = Path(automata.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE % (commands,)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == repr(loaded)
+
+
 def test_cli_unwritable_out_is_an_error_line(tmp_path, capsys):
     target = tmp_path / "no" / "such" / "dir" / "x"
     code = main(["run", "zero", "--input", "01", "--out", str(target)])
@@ -618,13 +653,13 @@ def test_cli_sweep_builds_and_analyses_once_per_command(
 def test_cli_check_runs_the_per_symbol_check_once(token, monkeypatch, capsys):
     verifier = resolve_spec(token).make().verifier
     n_pairs = len(verifier.states) * len(verifier.comm_alphabet)
-    calls = _count_calls(monkeypatch, automata, "check_isometry")
+    calls = _count_calls(monkeypatch, automata, "isometry_defect")
     operators = _count_calls(monkeypatch, automata, "_step_matrix")
     assert main(["check", token]) == 0
-    # one live-column check per padded symbol; the defects of the 15
-    # inputs of length 0..3 are derived from them, no step operator built
+    # one live-column check per padded symbol, no step operator built
     assert len(calls) == len(verifier.padded_alphabet)
-    assert all(m.shape[0] == n_pairs for (m, *_) in calls)
+    assert all(row < n_pairs
+               for (entries, _n_cols) in calls for row, _col, _v in entries)
     assert operators == []
 
 
