@@ -16,8 +16,9 @@ a loop over its methods:
 The tape table interns each distinct prover history tape once and keys
 configurations by the tape's small integer id, so a key hashes in O(1)
 however long the history grows.  A tape is entered as its parent's id
-plus one new record: a prover whose apply is HistoryResponder.apply (all
-responders and message schedules) is asked for its reply and record
+plus one new record: a prover that acts as a responder
+(provers.acts_as_responder, true of all responders and message
+schedules; asked once per round) is asked for its reply and record
 through HistoryResponder.respond, and the engine looks the extended
 tape up by (parent id, record), never hashing the whole tape.  Other
 provers still see and return tape tuples.  A tape they return is entered
@@ -70,7 +71,7 @@ from .automata import (
 from .errors import BudgetError, EngineError, FamilyInadequacyError
 from .linalg import SparseVector
 from .provers import (
-    HistoryResponder, IdentityProver, MessageSchedule, schedule_options,
+    IdentityProver, MessageSchedule, acts_as_responder, schedule_options,
 )
 
 
@@ -306,7 +307,7 @@ class RunState:
         t = self.t
         counts = self.counts
         counting = counts is not None
-        responder = type(prover).apply is HistoryResponder.apply
+        responder = acts_as_responder(prover)
         actions = {}
         nxt = {}
         get = nxt.get

@@ -6,6 +6,15 @@ responders log the symbol they observed each round into that round's
 slot (blank observations are not logged), which makes every responder a
 permutation of the joint basis no matter what reply function it uses:
 the slot pins down what was read, so the map is invertible.
+
+check_classical and check_committed certify the provers whose type
+settles the answer without probing: a prover acting as
+HistoryResponder.apply (acts_as_responder) or IdentityProver.apply
+answers every (round, comm) with one component of amplitude exactly 1,
+so it is classical without a call to its reply, and it is committed
+when respond(t, BLANK) is (BLANK, None) in every round.  Every other
+prover, an ExplicitRoundProver or a subclass that overrides apply, is
+probed round by round, on its reachable tapes unless it is tape-uniform.
 """
 
 import itertools
@@ -138,6 +147,13 @@ class ExplicitRoundProver(Prover):
         return out
 
 
+def acts_as_responder(prover):
+    """Whether prover's apply is HistoryResponder.apply, so that respond
+    gives its whole action: the reply, and the record it logs.
+    """
+    return type(prover).apply is HistoryResponder.apply
+
+
 # -- validators ------------------------------------------------------------
 
 
@@ -172,10 +188,35 @@ def _reachable_closure(prover, comm_alphabet, rounds, budget):
         tapes = nxt
 
 
+def _by_type(prover, tau):
+    """The kind, "responder" or "identity", of a prover whose type fixes
+    every action to one component of amplitude exactly 1, so that a
+    check need not probe it; None for any other prover.  A negative tau
+    fails even amplitude 1, and a prover that is not tape-uniform is
+    probed on its tape closure, so both are left to the probe.
+    """
+    if not prover.tape_uniform or not tau >= 0:
+        return None
+    if acts_as_responder(prover):
+        return "responder"
+    if type(prover).apply is IdentityProver.apply:
+        return "identity"
+    return None
+
+
 def check_classical(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
     """A prover is classical when every reachable action is a plain move:
     a single output component with amplitude 1.
+
+    A tape-uniform responder or identity prover is classical by its type
+    and is not probed, so its reply is never called; the report names
+    the rounds the probe would have checked.  Any other prover is asked
+    for its action on every round x comm symbol (x reachable tape).
     """
+    if _by_type(prover, tau):
+        checked = max(rounds, 0) if comm_alphabet else 0
+        return ProverReport(ok=True, property_name="classical",
+                            rounds_checked=checked)
     if prover.tape_uniform:
         probe = [(t, g, ()) for t in range(1, rounds + 1) for g in comm_alphabet]
     else:
@@ -197,7 +238,28 @@ def check_committed(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
     """A prover is committed when it never touches a blank comm cell:
     on observing the blank it must reply blank and leave the tape alone,
     for every history reachable at that round.
+
+    A tape-uniform identity prover is committed by its type.  A
+    tape-uniform responder is asked only respond(t, BLANK) each round,
+    which must give (BLANK, None); a failing round's witness holds the
+    action HistoryResponder.apply makes of that reply and record on the
+    empty tape, as the probe reports it.  Any other prover is asked for
+    its action on the blank at every round (x reachable tape).
     """
+    kind = _by_type(prover, tau)
+    if kind == "responder":
+        for t in range(1, rounds + 1):
+            reply, record = prover.respond(t, BLANK)
+            if not (reply == BLANK and record is None):
+                tape = () if record is None else (record,)
+                return ProverReport(
+                    ok=False, property_name="committed",
+                    witness=(t, BLANK, (), ((1.0, reply, tape),)),
+                    rounds_checked=t,
+                )
+    if kind:
+        return ProverReport(ok=True, property_name="committed",
+                            rounds_checked=max(rounds, 0))
     if prover.tape_uniform:
         probe = [(t, BLANK, ()) for t in range(1, rounds + 1)]
     else:

@@ -15,7 +15,7 @@ from .automata import (
     direction_symbol, first_option_chooser, run_1rfa,
     validate_1rfa_reversible, validate_2npfa_normalized,
 )
-from .errors import ValidationError
+from .errors import BudgetError, ValidationError
 from .linalg import as_integer, make_qft
 from .provers import HistoryResponder, IdentityProver, MessageSchedule
 
@@ -415,11 +415,26 @@ def last_option_chooser(machine):
     return choose
 
 
-def _branch_count(branches):
+# The most (state, comm) pairs a branch count N may give center's or
+# equal_blocks' verifier.  Its tables grow as N^2 (equal_blocks' comm
+# alphabet too) and its Fourier mixer is N x N, so an oversized N is
+# refused before any of them is built.  equal_blocks N=16 has 173 121.
+BRANCH_PAIR_BUDGET = 200000
+
+
+def _branch_count(branches, pairs):
+    """branches as an integer N >= 2 whose verifier has pairs(N)
+    (state, comm) pairs, at most BRANCH_PAIR_BUDGET of them.
+    """
     n_b = as_integer(branches)
     if n_b is None or n_b < 2:
         raise ValidationError("need at least two interference branches, "
                               "given as an integer; got %r" % (branches,))
+    n_pairs = pairs(n_b)
+    if n_pairs > BRANCH_PAIR_BUDGET:
+        raise BudgetError(
+            "N=%d branches give %d (state, comm) pairs, over the %d budget"
+            % (n_b, n_pairs, BRANCH_PAIR_BUDGET))
     return n_b
 
 
@@ -441,7 +456,8 @@ def center_protocol(branches=2):
     certainty.  Off-center marks make the branch arrivals pairwise
     distinct and at most 1/N of the mass accepts.
     """
-    n_b = _branch_count(branches)
+    # 4N^2 + 8N + 8 live and guard states, N fin states, 2 comm symbols
+    n_b = _branch_count(branches, lambda n: 2 * (4 * n * n + 9 * n + 8))
     js = list(range(1, n_b + 1))
     root = 1.0 / math.sqrt(n_b)
     mix = make_qft(n_b)
@@ -573,7 +589,10 @@ def equal_blocks_protocol(branches=2):
     most 1/N of the mass accepting.  Every row announces its target, so
     any comm tampering rejects immediately.
     """
-    n_b = _branch_count(branches)
+    # 2N^2 + 2N + 16 live and guard states, N + 3 halting states; the
+    # blank and the announcement of every live or halting state but z
+    n_b = _branch_count(
+        branches, lambda n: (2 * n * n + 3 * n + 19) * (n * n + 2 * n + 11))
     js = list(range(1, n_b + 1))
     root = 1.0 / math.sqrt(n_b)
     mix = make_qft(n_b)

@@ -1,17 +1,24 @@
 """Unit tests for prover strategies and their property validators."""
 
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qipsim
 from qipsim.automata import BLANK, LEFT_END, complete_verifier
-from qipsim.engine import EngineConfig, run_protocol
+from qipsim.cli import instantiate, main, resolve_spec
+from qipsim.engine import EngineConfig, resolve_max_steps, run_protocol
 from qipsim.errors import BudgetError, ValidationError
 from qipsim.provers import (
     ExplicitRoundProver,
     HistoryResponder,
     IdentityProver,
     MessageSchedule,
+    ProverReport,
+    acts_as_responder,
     check_classical,
     check_committed,
     enumerate_schedules,
@@ -148,3 +155,165 @@ def test_enumerate_schedules_counts():
 def test_enumerate_schedules_budget():
     with pytest.raises(BudgetError):
         list(enumerate_schedules((BLANK, "a", "b"), 12, budget=100))
+
+
+# -- the by-type certificates against the probe ---------------------------
+
+
+def _reference_closure(prover, comm_alphabet, rounds, budget):
+    tapes = {()}
+    for t in range(1, rounds + 1):
+        nxt = set()
+        for tape in sorted(tapes, key=repr):
+            for g in comm_alphabet:
+                for _, _, tape2 in prover.apply(t, g, tape):
+                    nxt.add(tape2)
+                yield t, g, tape
+        if len(nxt) > budget:
+            raise BudgetError("closure over budget")
+        tapes = nxt
+
+
+def reference_classical(prover, comm_alphabet, rounds, tau=1e-9,
+                        budget=200000):
+    """check_classical as a probe of every round x comm symbol (x tape)."""
+    if prover.tape_uniform:
+        probe = [(t, g, ()) for t in range(1, rounds + 1) for g in comm_alphabet]
+    else:
+        probe = _reference_closure(prover, comm_alphabet, rounds, budget)
+    checked = 0
+    for t, g, tape in probe:
+        out = prover.apply(t, g, tape)
+        checked = t
+        if len(out) != 1 or abs(out[0][0] - 1.0) > tau:
+            return ProverReport(False, "classical", (t, g, tape, tuple(out)), t)
+    return ProverReport(True, "classical", None, checked)
+
+
+def reference_committed(prover, comm_alphabet, rounds, tau=1e-9,
+                        budget=200000):
+    """check_committed as a probe of the blank at every round (x tape)."""
+    if prover.tape_uniform:
+        probe = [(t, BLANK, ()) for t in range(1, rounds + 1)]
+    else:
+        probe = ((t, g, tape) for t, g, tape in _reference_closure(
+            prover, comm_alphabet, rounds, budget) if g == BLANK)
+    checked = 0
+    for t, _, tape in probe:
+        out = prover.apply(t, BLANK, tape)
+        checked = t
+        if not (len(out) == 1 and abs(out[0][0] - 1.0) <= tau
+                and out[0][1] == BLANK and out[0][2] == tape):
+            return ProverReport(False, "committed",
+                                (t, BLANK, tape, tuple(out)), t)
+    return ProverReport(True, "committed", None, checked)
+
+
+def assert_matches_reference(prover, comm_alphabet, rounds, tau=1e-9):
+    for check, reference in ((check_classical, reference_classical),
+                             (check_committed, reference_committed)):
+        got = check(prover, comm_alphabet, rounds, tau=tau)
+        assert got == reference(prover, comm_alphabet, rounds, tau=tau), (
+            prover.prover_id, check.__name__, rounds, tau)
+
+
+SHIPPED = sorted(path.stem for path in
+                 (Path(qipsim.__file__).parent / "specs").glob("*.spec"))
+
+
+@pytest.mark.parametrize("token", SHIPPED)
+def test_checks_match_the_probe_on_shipped_honest_provers(token):
+    # the prover and step budget check hands each checker
+    bundle = instantiate(resolve_spec(token))
+    verifier = bundle.verifier
+    for x in bundle.check_inputs:
+        if set(x) <= set(verifier.input_alphabet):
+            assert_matches_reference(bundle.honest_prover(x),
+                                     verifier.comm_alphabet,
+                                     resolve_max_steps(verifier, x, None))
+
+
+COMMS = (BLANK, "a", "b", "c")
+
+
+@st.composite
+def tape_uniform_provers(draw, comm):
+    kind = draw(st.sampled_from(("reply", "schedule", "identity")))
+    if kind == "identity":
+        return IdentityProver()
+    if kind == "schedule":
+        return MessageSchedule(draw(st.dictionaries(
+            st.integers(1, 12), st.sampled_from(comm))))
+    table = draw(st.dictionaries(
+        st.tuples(st.integers(1, 12), st.sampled_from(comm)),
+        st.sampled_from(comm)))
+    return HistoryResponder(lambda t, g: table.get((t, g), g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(COMMS[:n]), tape_uniform_provers(COMMS[:n]))),
+    st.integers(0, 12), st.sampled_from((0.0, 1e-9, -1e-3)))
+def test_checks_match_the_probe_on_random_responders(case, rounds, tau):
+    comm, prover = case
+    assert_matches_reference(prover, comm, rounds, tau)
+    # no comm symbol leaves the classical probe nothing to check
+    assert_matches_reference(prover, (), rounds, tau)
+
+
+class SuperposingResponder(HistoryResponder):
+    """A responder whose apply splits every action into two halves."""
+
+    def apply(self, round_index, comm, tape):
+        s = 1.0 / math.sqrt(2.0)
+        return [(s, comm, tape), (s, "m" if comm == BLANK else BLANK, tape)]
+
+
+class BlankLogger(HistoryResponder):
+    """A responder whose respond logs the blank observations too."""
+
+    def respond(self, round_index, comm):
+        return self.reply(round_index, comm), (round_index, comm)
+
+
+def test_an_apply_override_is_still_probed_and_caught():
+    prover = SuperposingResponder(lambda t, g: g)
+    assert not acts_as_responder(prover)
+    for check in (check_classical, check_committed):
+        report = check(prover, (BLANK, "m"), 3)
+        assert not report.ok and report.witness[0] == 1
+    assert_matches_reference(prover, (BLANK, "m"), 3)
+
+
+def test_a_respond_that_logs_the_blank_is_not_committed():
+    prover = BlankLogger(lambda t, g: g)
+    assert acts_as_responder(prover)
+    report = check_committed(prover, (BLANK, "m"), 4)
+    assert not report.ok
+    assert report.witness == (1, BLANK, (), ((1.0, BLANK, ((1, BLANK),)),))
+    assert check_classical(prover, (BLANK, "m"), 4).ok
+    assert_matches_reference(prover, (BLANK, "m"), 4)
+
+
+def test_explicit_round_provers_are_still_probed():
+    report = check_classical(hadamard_prover(), (BLANK, "m"), 3)
+    assert report == reference_classical(hadamard_prover(), (BLANK, "m"), 3)
+    assert not report.ok
+    identity_like = ExplicitRoundProver({}, prover_id="still")
+    assert_matches_reference(identity_like, (BLANK, "m"), 3)
+
+
+@pytest.mark.parametrize("token", ["odd", "center", "npfa_coin"])
+def test_check_never_calls_a_responders_apply(token, monkeypatch, capsys):
+    calls = []
+    apply = HistoryResponder.apply
+
+    def spy(self, round_index, comm, tape):
+        calls.append((round_index, comm))
+        return apply(self, round_index, comm, tape)
+
+    # patching the base class keeps every responder acting as one
+    monkeypatch.setattr(HistoryResponder, "apply", spy)
+    assert main(["check", token]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert calls == []

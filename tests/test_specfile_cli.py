@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from qipsim import automata, cli, engine
+from qipsim import automata, cli, engine, zoo
 from qipsim.automata import BLANK, complete_verifier
 from qipsim.cli import main, resolve_spec
 from qipsim.engine import run_protocol
@@ -351,6 +351,30 @@ def test_cli_check_shipped_specs_pass(token, capsys):
     assert main(["check", token]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "center", "--N", "99999"],
+    ["sweep", "equal_blocks", "--N", "99999"],
+    ["check", "huge.spec"],
+])
+def test_cli_oversized_branch_count_exits_5_before_building(
+        argv, tmp_path, monkeypatch, capsys):
+    # a huge N is refused before its Fourier mixer is allocated
+    def no_qft(n):
+        raise AssertionError("make_qft(%d) was called" % n)
+
+    monkeypatch.setattr(zoo, "make_qft", no_qft)
+    (tmp_path / "huge.spec").write_text(json.dumps({
+        "format": "qip-spec-1", "kind": "bundle", "bundle": "center",
+        "params": {"branches": 99999}}), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: N=99999 ")
+    assert "200000 budget" in lines[0]
 
 
 def test_cli_check_catches_false_public_claim(tmp_path, capsys):

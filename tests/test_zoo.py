@@ -16,7 +16,8 @@ from qipsim.engine import (
     run_protocol,
     sweep_family,
 )
-from qipsim.errors import ValidationError
+from qipsim import zoo
+from qipsim.errors import BudgetError, ValidationError
 from qipsim.provers import IdentityProver
 from qipsim.zoo import (
     BUNDLES,
@@ -185,6 +186,20 @@ def test_center_adversary_family_shape():
 def test_center_needs_two_branches():
     with pytest.raises(ValidationError):
         make_bundle("center", {"branches": 1})
+
+
+@pytest.mark.parametrize("name", ["center", "equal_blocks"])
+@pytest.mark.parametrize("branches", [2, 3, 5])
+def test_branch_budget_counts_the_pairs_the_verifier_has(name, branches,
+                                                         monkeypatch):
+    verifier = make_bundle(name, {"branches": branches}).verifier
+    pairs = len(verifier.states) * len(verifier.comm_alphabet)
+    monkeypatch.setattr(zoo, "BRANCH_PAIR_BUDGET", pairs)
+    make_bundle(name, {"branches": branches})
+    monkeypatch.setattr(zoo, "BRANCH_PAIR_BUDGET", pairs - 1)
+    with pytest.raises(BudgetError, match="N=%d branches give %d "
+                       % (branches, pairs)):
+        make_bundle(name, {"branches": branches})
 
 
 BLOCK_STEPS = {"": 2, "01": 18, "0011": 28, "000111": 38}
