@@ -268,6 +268,7 @@ def cmd_check(args):
     check_inputs = [x for x in bundle.check_inputs
                     if set(x) <= set(verifier.input_alphabet)]
 
+    cfg = engine_config(args)
     for claim_key, checker, name in (
             ("classical_honest", check_classical, "classical-honest"),
             ("committed_honest", check_committed, "committed-honest")):
@@ -278,7 +279,7 @@ def cmd_check(args):
         witness = ""
         for x in check_inputs:
             prover = bundle.honest_prover(x)
-            rounds = resolve_max_steps(verifier, x, None)
+            rounds = resolve_max_steps(verifier, x, cfg)
             rep = checker(prover, verifier.comm_alphabet, rounds,
                           tau=args.tau)
             if not rep.ok:
@@ -293,10 +294,11 @@ def cmd_check(args):
         bound = int(claims["interaction_bound"])
         worst = 0
         worst_x = None
-        cfg = engine_config(args, count_interactions=True)
+        counting = engine_config(args, count_interactions=True)
         for x in check_inputs:
-            result = run_protocol(verifier, x, bundle.honest_prover(x), cfg)
-            if result.interactions > worst:
+            result = run_protocol(verifier, x, bundle.honest_prover(x),
+                                  counting)
+            if worst_x is None or result.interactions > worst:
                 worst, worst_x = result.interactions, x
         rule("interaction-bound", worst <= bound,
              "max honest interactions %d (input %r), claimed <= %d"
@@ -310,7 +312,6 @@ def cmd_check(args):
         ok = True
         detail = "honest acceptance matches %s on all bundled members" \
             % _g(target)
-        cfg = engine_config(args)
         for x in check_inputs:
             if not bundle.language(x):
                 continue

@@ -17,15 +17,15 @@ The tape table interns each distinct prover history tape once and keys
 configurations by the tape's small integer id, so a key hashes in O(1)
 however long the history grows.  A tape is entered as its parent's id
 plus one new record: a prover that acts as a responder
-(provers.acts_as_responder, true of all responders and message
-schedules; asked once per round) is asked for its reply and record
-through HistoryResponder.respond, and the engine looks the extended
-tape up by (parent id, record), never hashing the whole tape.  Other
-provers still see and return tape tuples.  A tape they return is entered
-record by record from the id of the tape passed in when it extends that
-tape, from the empty tape otherwise, and the table keeps the prover's
-own tuple, so a tuple handed back in a later round is found by identity.
-Step records map the ids back to tuples.
+(provers.acts_as_responder, true of the identity prover, message
+schedules and all other responders; asked once per round) is asked for
+its reply and record through HistoryResponder.respond, and the engine
+looks the extended tape up by (parent id, record), never hashing the
+whole tape.  Other provers still see and return tape tuples.  A tape
+they return is entered record by record from the id of the tape passed
+in when it extends that tape, from the empty tape otherwise, and the
+table keeps the prover's own tuple, so a tuple handed back in a later
+round is found by identity.  Step records map the ids back to tuples.
 
 Each step is one pass over the entries it produces.  Amplitudes are
 summed into a plain dict, a sum of exactly 0j dropping its key as

@@ -7,14 +7,14 @@ slot (blank observations are not logged), which makes every responder a
 permutation of the joint basis no matter what reply function it uses:
 the slot pins down what was read, so the map is invertible.
 
-check_classical and check_committed certify the provers whose type
-settles the answer without probing: a prover acting as
-HistoryResponder.apply (acts_as_responder) or IdentityProver.apply
-answers every (round, comm) with one component of amplitude exactly 1,
-so it is classical without a call to its reply, and it is committed
-when respond(t, BLANK) is (BLANK, None) in every round.  Every other
-prover, an ExplicitRoundProver or a subclass that overrides apply, is
-probed round by round, on its reachable tapes unless it is tape-uniform.
+check_classical and check_committed certify a prover by its type where
+the type settles the answer: a responder (acts_as_responder: its apply
+is HistoryResponder.apply, as for IdentityProver and message schedules)
+answers every (round, comm) with one component of amplitude exactly 1
+whatever its tape holds, so it is classical without a call to its
+reply, and it is committed when respond(t, BLANK) is (BLANK, None) in
+every round.  Every other prover, an ExplicitRoundProver or a subclass
+that overrides apply, is probed round by round on its reachable tapes.
 """
 
 import itertools
@@ -31,27 +31,15 @@ class Prover:
     apply must be a function of (round_index, comm, tape) alone: the
     prover never sees the verifier's state or head, and the engine calls
     it once per distinct (comm, tape) in each round, reusing the result
-    for every configuration that carries that pair.
-
-    tape_uniform means the action never depends on the history tape
-    (beyond appending to it); validators exploit this to avoid walking
-    the reachable-tape closure.
+    for every configuration that carries that pair.  The validators
+    probe a prover on every history tape it reaches unless it is a
+    responder, whose action cannot read the tape.
     """
 
     prover_id = "prover"
-    tape_uniform = True
 
     def apply(self, round_index, comm, tape):
         raise NotImplementedError
-
-
-class IdentityProver(Prover):
-    """Does nothing: leaves the comm cell and history untouched."""
-
-    prover_id = "identity"
-
-    def apply(self, round_index, comm, tape):
-        return [(1.0, comm, tape)]
 
 
 class HistoryResponder(Prover):
@@ -59,10 +47,11 @@ class HistoryResponder(Prover):
 
     The observed symbol is recorded into the tape slot for this round
     before the reply overwrites the comm cell; blank observations leave
-    the tape untouched.  respond gives the same action without the tape:
-    the engine steps every prover whose apply is this class's through
-    respond, and appends the record to the tape by the tape's id, so it
-    never hashes a whole history tape.
+    the tape untouched.  respond gives the same action without the tape,
+    which it never sees, so a responder's action does not depend on its
+    history.  The engine steps every prover whose apply is this class's
+    through respond, and appends the record to the tape by the tape's
+    id, so it never hashes a whole history tape.
     """
 
     def __init__(self, reply, prover_id="responder"):
@@ -81,6 +70,18 @@ class HistoryResponder(Prover):
         if record is not None:
             tape = tape + (record,)
         return [(1.0, out_comm, tape)]
+
+
+class IdentityProver(HistoryResponder):
+    """Does nothing: writes back the comm symbol it read and logs nothing,
+    so the comm cell and the history stay untouched.
+    """
+
+    def __init__(self):
+        super().__init__(lambda t, g: g, prover_id="identity")
+
+    def respond(self, round_index, comm):
+        return comm, None
 
 
 class MessageSchedule(HistoryResponder):
@@ -113,8 +114,6 @@ class ExplicitRoundProver(Prover):
     provers beyond the classical responders (e.g. superposing replies).
     """
 
-    tape_uniform = False
-
     def __init__(self, round_ops, prover_id="explicit"):
         self.round_ops = {}
         for r, (basis, matrix) in round_ops.items():
@@ -122,6 +121,10 @@ class ExplicitRoundProver(Prover):
             if len(set(basis)) != len(basis):
                 raise ValidationError("duplicate basis pair in round %d" % r)
             ok, defect = check_unitary(matrix, tau=1e-9)
+            if len(matrix) != len(basis):  # square, or check_unitary raised
+                raise ValidationError(
+                    "round-%d prover basis has %d pairs but its matrix is "
+                    "%dx%d" % (r, len(basis), len(matrix), len(matrix)))
             if not ok:
                 raise ValidationError(
                     "round-%d prover matrix is not unitary (defect %.3e)"
@@ -170,16 +173,27 @@ class ProverReport:
         return "%s: violated at %r" % (self.property_name, self.witness)
 
 
-def _reachable_closure(prover, comm_alphabet, rounds, budget):
-    """Yield (round, comm, tape) triples reachable by round; tape closure."""
+def _probe(prover, comm_alphabet, symbols, rounds, budget):
+    """Yield (round, comm, tape, prover.apply(round, comm, tape)) for the
+    probed triples whose comm is in symbols.  A responder never sees its
+    tape, so it is probed on the empty tape; any other prover on every
+    tape it reaches, the actions on the whole alphabet giving the tapes
+    of the next round, with one apply call per triple.
+    """
+    if acts_as_responder(prover):
+        for t in range(1, rounds + 1):
+            for g in symbols:
+                yield t, g, (), prover.apply(t, g, ())
+        return
     tapes = {()}
     for t in range(1, rounds + 1):
         nxt = set()
         for tape in sorted(tapes, key=repr):
             for g in comm_alphabet:
-                for _, _, tape2 in prover.apply(t, g, tape):
-                    nxt.add(tape2)
-                yield t, g, tape
+                action = prover.apply(t, g, tape)
+                nxt.update(tape2 for _, _, tape2 in action)
+                if g in symbols:
+                    yield t, g, tape, action
         if len(nxt) > budget:
             raise BudgetError(
                 "reachable-tape closure exceeded %d entries at round %d"
@@ -188,50 +202,38 @@ def _reachable_closure(prover, comm_alphabet, rounds, budget):
         tapes = nxt
 
 
-def _by_type(prover, tau):
-    """The kind, "responder" or "identity", of a prover whose type fixes
-    every action to one component of amplitude exactly 1, so that a
-    check need not probe it; None for any other prover.  A negative tau
-    fails even amplitude 1, and a prover that is not tape-uniform is
-    probed on its tape closure, so both are left to the probe.
+def _report(name, probe, good):
+    """The report of the first probed action good(tape, action) refuses,
+    or ok with the last round probed.
     """
-    if not prover.tape_uniform or not tau >= 0:
-        return None
-    if acts_as_responder(prover):
-        return "responder"
-    if type(prover).apply is IdentityProver.apply:
-        return "identity"
-    return None
+    checked = 0
+    for t, g, tape, out in probe:
+        checked = t
+        if not good(tape, out):
+            return ProverReport(ok=False, property_name=name,
+                                witness=(t, g, tape, tuple(out)),
+                                rounds_checked=t)
+    return ProverReport(ok=True, property_name=name, rounds_checked=checked)
 
 
 def check_classical(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
     """A prover is classical when every reachable action is a plain move:
     a single output component with amplitude 1.
 
-    A tape-uniform responder or identity prover is classical by its type
-    and is not probed, so its reply is never called; the report names
-    the rounds the probe would have checked.  Any other prover is asked
-    for its action on every round x comm symbol (x reachable tape).
+    A responder is classical by its type and is not probed, so its reply
+    is never called; the report names the rounds the probe would have
+    checked.  Any other prover, or a responder under a negative or nan
+    tau, is asked for its action on every round x comm symbol x
+    reachable tape.
     """
-    if _by_type(prover, tau):
+    if acts_as_responder(prover) and tau >= 0:
         checked = max(rounds, 0) if comm_alphabet else 0
         return ProverReport(ok=True, property_name="classical",
                             rounds_checked=checked)
-    if prover.tape_uniform:
-        probe = [(t, g, ()) for t in range(1, rounds + 1) for g in comm_alphabet]
-    else:
-        probe = _reachable_closure(prover, comm_alphabet, rounds, budget)
-    checked = 0
-    for t, g, tape in probe:
-        out = prover.apply(t, g, tape)
-        checked = t
-        if len(out) != 1 or abs(out[0][0] - 1.0) > tau:
-            return ProverReport(
-                ok=False, property_name="classical",
-                witness=(t, g, tape, tuple(out)), rounds_checked=t,
-            )
-    return ProverReport(ok=True, property_name="classical",
-                        rounds_checked=checked)
+    return _report(
+        "classical", _probe(prover, comm_alphabet, comm_alphabet, rounds,
+                            budget),
+        lambda tape, out: len(out) == 1 and not abs(out[0][0] - 1.0) > tau)
 
 
 def check_committed(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
@@ -239,15 +241,14 @@ def check_committed(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
     on observing the blank it must reply blank and leave the tape alone,
     for every history reachable at that round.
 
-    A tape-uniform identity prover is committed by its type.  A
-    tape-uniform responder is asked only respond(t, BLANK) each round,
-    which must give (BLANK, None); a failing round's witness holds the
-    action HistoryResponder.apply makes of that reply and record on the
-    empty tape, as the probe reports it.  Any other prover is asked for
-    its action on the blank at every round (x reachable tape).
+    A responder is asked only respond(t, BLANK) each round, which must
+    give (BLANK, None); a failing round's witness holds the action
+    HistoryResponder.apply makes of that reply and record on the empty
+    tape, as the probe reports it.  Any other prover, or a responder
+    under a negative or nan tau, is asked for its action on the blank
+    at every round x reachable tape.
     """
-    kind = _by_type(prover, tau)
-    if kind == "responder":
+    if acts_as_responder(prover) and tau >= 0:
         for t in range(1, rounds + 1):
             reply, record = prover.respond(t, BLANK)
             if not (reply == BLANK and record is None):
@@ -257,35 +258,12 @@ def check_committed(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
                     witness=(t, BLANK, (), ((1.0, reply, tape),)),
                     rounds_checked=t,
                 )
-    if kind:
         return ProverReport(ok=True, property_name="committed",
                             rounds_checked=max(rounds, 0))
-    if prover.tape_uniform:
-        probe = [(t, BLANK, ()) for t in range(1, rounds + 1)]
-    else:
-        probe = (
-            (t, g, tape)
-            for t, g, tape in _reachable_closure(
-                prover, comm_alphabet, rounds, budget)
-            if g == BLANK
-        )
-    checked = 0
-    for t, _, tape in probe:
-        out = prover.apply(t, BLANK, tape)
-        checked = t
-        good = (
-            len(out) == 1
-            and abs(out[0][0] - 1.0) <= tau
-            and out[0][1] == BLANK
-            and out[0][2] == tape
-        )
-        if not good:
-            return ProverReport(
-                ok=False, property_name="committed",
-                witness=(t, BLANK, tape, tuple(out)), rounds_checked=t,
-            )
-    return ProverReport(ok=True, property_name="committed",
-                        rounds_checked=checked)
+    return _report(
+        "committed", _probe(prover, comm_alphabet, (BLANK,), rounds, budget),
+        lambda tape, out: (len(out) == 1 and abs(out[0][0] - 1.0) <= tau
+                           and out[0][1] == BLANK and out[0][2] == tape))
 
 
 def schedule_options(comm_alphabet, rounds, committed_only=False,

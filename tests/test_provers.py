@@ -17,6 +17,7 @@ from qipsim.provers import (
     HistoryResponder,
     IdentityProver,
     MessageSchedule,
+    Prover,
     ProverReport,
     acts_as_responder,
     check_classical,
@@ -29,6 +30,13 @@ def test_identity_prover_passthrough():
     p = IdentityProver()
     assert p.prover_id == "identity"
     assert p.apply(3, "m", (("1", "m"),)) == [(1.0, "m", (("1", "m"),))]
+
+
+def test_identity_prover_is_a_responder_that_logs_nothing():
+    p = IdentityProver()
+    assert acts_as_responder(p)
+    assert p.respond(4, "m") == ("m", None)
+    assert p.respond(4, BLANK) == (BLANK, None)
 
 
 def test_history_responder_records_nonblank_only():
@@ -110,6 +118,18 @@ def test_explicit_prover_validates_unitarity():
                                  [[1, 0], [0, 1]])})
 
 
+@pytest.mark.parametrize("pairs, size", [(1, 2), (2, 1)])
+def test_explicit_prover_refuses_a_basis_of_the_wrong_length(pairs, size):
+    s = 1.0 / math.sqrt(2.0)
+    matrix = [[s, s], [s, -s]] if size == 2 else [[1.0]]
+    basis = [(BLANK, ()), ("m", ())][:pairs]
+    with pytest.raises(ValidationError) as exc:
+        ExplicitRoundProver({3: (basis, matrix)})
+    assert str(exc.value) == (
+        "round-3 prover basis has %d pairs but its matrix is %dx%d"
+        % (pairs, size, size))
+
+
 def test_check_classical_accepts_schedules():
     report = check_classical(MessageSchedule({1: "m"}), (BLANK, "m"), 4)
     assert report.ok
@@ -177,7 +197,7 @@ def _reference_closure(prover, comm_alphabet, rounds, budget):
 def reference_classical(prover, comm_alphabet, rounds, tau=1e-9,
                         budget=200000):
     """check_classical as a probe of every round x comm symbol (x tape)."""
-    if prover.tape_uniform:
+    if acts_as_responder(prover):
         probe = [(t, g, ()) for t in range(1, rounds + 1) for g in comm_alphabet]
     else:
         probe = _reference_closure(prover, comm_alphabet, rounds, budget)
@@ -193,7 +213,7 @@ def reference_classical(prover, comm_alphabet, rounds, tau=1e-9,
 def reference_committed(prover, comm_alphabet, rounds, tau=1e-9,
                         budget=200000):
     """check_committed as a probe of the blank at every round (x tape)."""
-    if prover.tape_uniform:
+    if acts_as_responder(prover):
         probe = [(t, BLANK, ()) for t in range(1, rounds + 1)]
     else:
         probe = ((t, g, tape) for t, g, tape in _reference_closure(
@@ -236,11 +256,42 @@ def test_checks_match_the_probe_on_shipped_honest_provers(token):
 COMMS = (BLANK, "a", "b", "c")
 
 
+class TapeReader(Prover):
+    """A prover whose apply reads its tape: replies[(t, g, len(tape))]
+    is its reply, it logs (t, g) in the rounds in logs, and in the
+    (t, len(tape)) pairs in splits it also writes back g with equal
+    amplitude.
+    """
+
+    prover_id = "tape-reader"
+
+    def __init__(self, replies, logs, splits):
+        self.replies, self.logs, self.splits = replies, logs, splits
+
+    def apply(self, round_index, comm, tape):
+        reply = self.replies.get((round_index, comm, len(tape)), comm)
+        tape2 = tape + ((round_index, comm),) \
+            if round_index in self.logs else tape
+        if (round_index, len(tape)) not in self.splits or reply == comm:
+            return [(1.0, reply, tape2)]
+        s = 1.0 / math.sqrt(2.0)
+        return [(s, reply, tape2), (s, comm, tape2)]
+
+
 @st.composite
-def tape_uniform_provers(draw, comm):
-    kind = draw(st.sampled_from(("reply", "schedule", "identity")))
+def random_provers(draw, comm):
+    kind = draw(st.sampled_from(("reply", "schedule", "identity", "tape")))
     if kind == "identity":
         return IdentityProver()
+    if kind == "tape":
+        # at most three logging rounds keep the tape closure small
+        return TapeReader(
+            draw(st.dictionaries(st.tuples(st.integers(1, 12),
+                                           st.sampled_from(comm),
+                                           st.integers(0, 3)),
+                                 st.sampled_from(comm))),
+            draw(st.sets(st.integers(1, 12), max_size=3)),
+            draw(st.sets(st.tuples(st.integers(1, 12), st.integers(0, 3)))))
     if kind == "schedule":
         return MessageSchedule(draw(st.dictionaries(
             st.integers(1, 12), st.sampled_from(comm))))
@@ -252,7 +303,7 @@ def tape_uniform_provers(draw, comm):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-    st.just(COMMS[:n]), tape_uniform_provers(COMMS[:n]))),
+    st.just(COMMS[:n]), random_provers(COMMS[:n]))),
     st.integers(0, 12), st.sampled_from((0.0, 1e-9, -1e-3)))
 def test_checks_match_the_probe_on_random_responders(case, rounds, tau):
     comm, prover = case
@@ -301,6 +352,51 @@ def test_explicit_round_provers_are_still_probed():
     assert not report.ok
     identity_like = ExplicitRoundProver({}, prover_id="still")
     assert_matches_reference(identity_like, (BLANK, "m"), 3)
+
+
+class LateSuperposer(Prover):
+    """Classical on the empty tape, which it extends; superposing on
+    every tape it extended.
+    """
+
+    prover_id = "late-superposer"
+
+    def apply(self, round_index, comm, tape):
+        if not tape:
+            return [(1.0, comm, ((round_index, comm),))]
+        s = 1.0 / math.sqrt(2.0)
+        return [(s, comm, tape), (s, "m" if comm == BLANK else BLANK, tape)]
+
+
+def test_a_prover_that_superposes_on_a_later_tape_is_not_classical():
+    report = check_classical(LateSuperposer(), (BLANK, "m"), 3)
+    assert not report.ok
+    assert report.witness[:3] == (2, BLANK, ((1, BLANK),))
+    assert report.rounds_checked == 2
+    assert_matches_reference(LateSuperposer(), (BLANK, "m"), 3)
+
+
+def test_the_closure_probe_calls_apply_once_per_triple(monkeypatch):
+    # round 1 swaps m between the empty tape and a logged one, so round
+    # 2 reaches two tapes; the blank is never touched
+    prover = ExplicitRoundProver({1: ([("m", ()), ("m", ((1, "m"),))],
+                                      [[0, 1], [1, 0]])})
+    comm = (BLANK, "m")
+    triples = list(_reference_closure(prover, comm, 3, 200000))
+    assert len(triples) == 10
+    calls = []
+    apply = ExplicitRoundProver.apply
+
+    def spy(self, round_index, comm, tape):
+        calls.append((round_index, comm, tape))
+        return apply(self, round_index, comm, tape)
+
+    monkeypatch.setattr(ExplicitRoundProver, "apply", spy)
+    for check in (check_committed, check_classical):
+        calls.clear()
+        report = check(prover, comm, 3)
+        assert report.ok and report.rounds_checked == 3
+        assert calls == triples
 
 
 @pytest.mark.parametrize("token", ["odd", "center", "npfa_coin"])

@@ -433,6 +433,63 @@ def test_cli_check_n_max_does_not_change_the_output(capsys):
     assert capsys.readouterr().out == want
 
 
+def _loop_spec(tmp_path):
+    # one live state sweeping right forever; the honest schedule writes m
+    # on the blank in round 25, which only a budget past 24 steps reaches
+    rows = {sym: [{"source": ["q", BLANK], "targets": [[1, "q", BLANK]]}]
+            for sym in ("^", "0", "1", "$")}
+    doc = {
+        "format": "qip-spec-1", "kind": "verifier", "name": "loop",
+        "two_way": True, "input_alphabet": ["0", "1"],
+        "comm_alphabet": [BLANK, "m"],
+        "states": {"live": ["q"], "accepting": ["acc"],
+                   "rejecting": ["rej"], "initial": "q"},
+        "head_dir": {"per_state": {"q": 1}}, "rows": rows,
+        "fill": {"guards": True, "completion": True},
+        "honest_prover": {"type": "schedule", "writes": {"25": "m"}},
+        "claims": {"committed_honest": True},
+    }
+    path = tmp_path / "loop.spec"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_check_prover_rules_honour_max_steps(tmp_path, capsys):
+    spec = _loop_spec(tmp_path)
+    assert main(["check", spec]) == 0
+    assert main(["check", spec, "--max-steps", "30"]) == 3
+    line = [row for row in capsys.readouterr().out.splitlines()
+            if "committed-honest" in row][-1]
+    assert line.startswith("FAIL committed-honest")
+    assert "violated at (25, '#', (), ((1.0, 'm', ()),))" in line
+    # the run under that budget meets the write and rejects at step 26
+    assert main(["run", spec, "--input", "", "--max-steps", "30"]) == 0
+    row = capsys.readouterr().out
+    assert "p_rej>=1 " in row and "steps=26 " in row
+
+
+def test_cli_check_interaction_bound_names_an_input(tmp_path, capsys):
+    # README's example verifier: the identity prover never interacts
+    rows = {sym: [{"source": ["q0", BLANK], "targets": [[1, "q0", BLANK]]}]
+            for sym in ("^", "0", "1")}
+    rows["$"] = [{"source": ["q0", BLANK], "targets": [[1, "acc", BLANK]]}]
+    doc = {
+        "format": "qip-spec-1", "kind": "verifier", "name": "example",
+        "two_way": False, "input_alphabet": ["0", "1"],
+        "comm_alphabet": [BLANK],
+        "states": {"live": ["q0"], "accepting": ["acc"],
+                   "rejecting": ["rej"], "initial": "q0"},
+        "rows": rows, "fill": {"guards": True, "completion": True},
+        "honest_prover": {"type": "identity"},
+        "claims": {"interaction_bound": 0},
+    }
+    path = tmp_path / "example.spec"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert ("ok   interaction-bound    max honest interactions 0 "
+            "(input ''), claimed <= 0") in capsys.readouterr().out.splitlines()
+
+
 IMPORT_PROBE = """
 import sys
 from qipsim.cli import main
