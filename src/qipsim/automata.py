@@ -12,13 +12,17 @@ Tables are assembled from three row classes:
 - guard rows: explicit rejections filling every (live state, comm symbol)
   hole, so unexpected comm contents halt immediately; each live state
   with a hole gets one guard rejecting state, and (q, g) -> (rej~q, g)
-  keeps the comm symbol so the guard targets stay distinct;
+  keeps the comm symbol so the guard targets stay distinct.  A guard row
+  is fixed by its source, so it is not stored: the verifier keeps the
+  map from live state to guard state, and a move table looking up a
+  missing row of a guarded live state returns its guard row;
 - completion rows: a generic unitary completion on the remaining columns
   (halting-state sources), which the dynamics never reach because halting
   amplitude is measured out before the next step (measure-many
   semantics).  They are built on first use, by a reader of the full
   table (the step operator, the export), and kept; runs, sweeps and
-  checks read only the live tables: core and guard rows.
+  checks read only the live tables: the stored core rows, and the guard
+  rows their lookups imply.
 
 Well-formedness is the unitarity of the step operator on (state, head,
 comm).  Checks derive it from the per-symbol tables (validate_wellformed)
@@ -60,18 +64,30 @@ COMPLETION = "completion"
 
 class MoveTable(dict):
     """One padded symbol's moves: {(state, comm): ((amp, state', comm',
-    direction), ...)}.  Looking up a missing row raises ValidationError.
+    direction), ...)}.
+
+    guards maps live states to their guard states.  Looking up a missing
+    row (q, g) of a guarded state q, with g in comm, returns its guard
+    row ((1.0, guards[q], g, direction),); looking up any other missing
+    row raises ValidationError.
     """
 
-    def __init__(self, symbol, moves):
+    def __init__(self, symbol, moves, guards, comm, direction):
         super().__init__(moves)
         self.symbol = symbol
+        self.guards = guards or {}
+        self.comm = frozenset(comm)
+        self.direction = direction
 
     def __missing__(self, key):
-        raise ValidationError(
-            "incomplete table: no row for (%r, %r) on %r"
-            % (key[0], key[1], self.symbol)
-        )
+        q, g = key
+        guard = self.guards.get(q)
+        if guard is None or g not in self.comm:
+            raise ValidationError(
+                "incomplete table: no row for (%r, %r) on %r"
+                % (q, g, self.symbol)
+            )
+        return ((1.0, guard, g, self.direction),)
 
 
 class _Tables(NamedTuple):
@@ -96,14 +112,19 @@ class VerifierSpec:
     states, which the engine's step kernel tests membership in.
 
     Those four tables, and row() and class_of(), show the full table.  A
-    completable verifier (complete_verifier's) is given its core and
-    guard rows only.  Its completion rows, with their directions and
-    moves, are built on the first read of a full table.  A plain
-    VerifierSpec, built from explicit rows, is not completable: its full
-    tables are the rows it was given, and a missing row stays missing.
+    completable verifier (complete_verifier's) is given its core rows
+    and guards, {live state: guard state}: each missing row (q, g) of a
+    guarded q is the guard row (q, g) -> (guards[q], g), with head
+    direction 0 when two-way and +1 when one-way.  Its guard rows come
+    first in the full tables, then its completion rows; both, with their
+    directions and moves, are built on the first read of a full table.
+    A plain VerifierSpec (guards None), built from explicit rows, is not
+    completable: its full tables are the rows it was given, and a
+    missing row stays missing.
 
     live_moves are the move tables of the rows the verifier was given,
-    and live_rows() iterates those rows.  Runs, sweeps, checks and the
+    whose lookups return the guard rows the guards imply, and
+    live_rows() iterates the given rows.  Runs, sweeps, checks and the
     analyses below read only these, so they never complete a table:
     every row a run reads has a live source, since halting amplitude is
     measured out in the step that reaches it.
@@ -117,7 +138,7 @@ class VerifierSpec:
 
     def __init__(self, name, input_alphabet, comm_alphabet, non_halting,
                  accepting, rejecting, initial, two_way, rows, head_dir,
-                 row_class=None, metadata=None, completable=False):
+                 row_class=None, metadata=None, guards=None):
         self.name = str(name)
         self.input_alphabet = tuple(input_alphabet)
         self.comm_alphabet = tuple(comm_alphabet)
@@ -126,7 +147,7 @@ class VerifierSpec:
         self.rejecting = tuple(rejecting)
         self.initial = initial
         self.two_way = bool(two_way)
-        self.completable = bool(completable)
+        self.guards = None if guards is None else dict(guards)
         self._rows = {
             sym: dict(table) for sym, table in rows.items()
         }
@@ -140,15 +161,16 @@ class VerifierSpec:
             pair: i for i, pair in enumerate(
                 (q, g) for q in self.states for g in self.comm_alphabet)
         }
-        self.live_moves = self._move_tables(self._rows, self._head_dir)
+        self.live_moves = self._move_tables(self._rows, self._head_dir,
+                                            self.guards)
 
-    def _move_tables(self, rows, head_dir):
+    def _move_tables(self, rows, head_dir, guards):
         return {
             sym: MoveTable(sym, {
                 key: tuple([(amp, q2, g2, head_dir[q2, g2])
                             for amp, q2, g2 in targets])
                 for key, targets in rows.get(sym, {}).items()
-            })
+            }, guards, self.comm_alphabet, 0 if self.two_way else 1)
             for sym in self.padded_alphabet
         }
 
@@ -156,10 +178,10 @@ class VerifierSpec:
 
     @cached_property
     def _full(self):
-        """The full tables: a plain verifier's given rows, or the live
-        rows plus completion rows on every column they leave free,
-        symbol by symbol."""
-        if not self.completable:
+        """The full tables: a plain verifier's given rows, or the given
+        rows plus the guard rows the guards imply, then completion rows
+        on every column those leave free, symbol by symbol."""
+        if self.guards is None:
             return _Tables(self._rows, self._row_class, self._head_dir,
                            self.live_moves)
         padded = self.padded_alphabet
@@ -167,11 +189,19 @@ class VerifierSpec:
         row_class = {sym: dict(self._row_class.get(sym, {}))
                      for sym in padded}
         head_dir = dict(self._head_dir)
+        guard_dir = 0 if self.two_way else 1
+        for q, guard in self.guards.items():
+            for g in self.comm_alphabet:
+                for sym in padded:
+                    if (q, g) not in rows[sym]:
+                        rows[sym][q, g] = ((1.0, guard, g),)
+                        row_class[sym][q, g] = GUARD
+                        head_dir[guard, g] = guard_dir
         for sym in padded:
             _complete_symbol(rows[sym], row_class[sym], self.states,
                              self.comm_alphabet, head_dir, self.two_way)
         return _Tables(rows, row_class, head_dir,
-                       self._move_tables(rows, head_dir))
+                       self._move_tables(rows, head_dir, None))
 
     @property
     def rows(self):
@@ -194,15 +224,20 @@ class VerifierSpec:
     @cached_property
     def per_symbol_defects(self):
         """{padded symbol: isometry defect of its live table}: one column
-        per live row, in pair order.  inf when a row is missing that
-        completion does not supply: a live source, or any source of a
-        plain verifier."""
+        per stored live row, in pair order.  A guard column is a unit
+        vector on a target no other column reaches, so leaving the guard
+        columns out changes no Gram entry the others form.  inf when a
+        row is missing that neither a guard nor completion supplies: a
+        source of an unguarded live state, or any source of a plain
+        verifier."""
         defects = {}
         index = self.pair_index
-        live = [(q, g) for q in self.non_halting for g in self.comm_alphabet]
+        guards = self.guards
+        unguarded = [(q, g) for q in self.non_halting
+                     if q not in (guards or {}) for g in self.comm_alphabet]
         for sym, table in self.live_moves.items():
             if len(table) != len(index) and (
-                    not self.completable or any(p not in table for p in live)):
+                    guards is None or any(p not in table for p in unguarded)):
                 defects[sym] = float("inf")
                 continue
             keys = sorted(table, key=index.__getitem__)
@@ -281,8 +316,9 @@ class VerifierSpec:
         return self.row_class.get(symbol, {}).get((state, comm), CORE)
 
     def live_rows(self):
-        """Iterate (symbol, (state, comm), targets, class) over the live
-        rows, table by table in the order they were given."""
+        """Iterate (symbol, (state, comm), targets, class) over the rows
+        the verifier was given, table by table in the order they were
+        given; the guard rows its guards imply are not among them."""
         for sym, table in self._rows.items():
             classes = self._row_class.get(sym, {})
             for key, targets in table.items():
@@ -321,6 +357,7 @@ class VerifierSpec:
                 )
         comm_set = set(self.comm_alphabet)
         padded = set(self.padded_alphabet)
+        targeted = set()
         for sym, table in self._rows.items():
             if sym not in padded:
                 raise ValidationError("transition table for unknown symbol %r" % sym)
@@ -330,6 +367,7 @@ class VerifierSpec:
                         "transition source (%r, %r) references unknown ids" % (q, g)
                     )
                 for amp, q2, g2 in targets:
+                    targeted.add(q2)
                     ensure_finite(amp, "amplitude at (%r, %r, %r)" % (sym, q, g))
                     if q2 not in seen or g2 not in comm_set:
                         raise ValidationError(
@@ -340,6 +378,7 @@ class VerifierSpec:
                         raise ValidationError(
                             "no head direction for target (%r, %r)" % (q2, g2)
                         )
+        self._validate_guards(targeted)
         if "suggested_max_steps" in self.metadata:
             hint = self.metadata["suggested_max_steps"]
             if not _is_step_budget(hint):
@@ -358,6 +397,27 @@ class VerifierSpec:
                 raise ValidationError(
                     "one-way verifier must move right; got %r at %r" % (d, pair)
                 )
+
+    def _validate_guards(self, targeted):
+        """Refuse a guard map whose keys are not live states, or whose
+        values are not distinct declared rejecting states that no stored
+        row targets: only then is each guard row's target its own."""
+        guards = self.guards or {}
+        live = set(self.non_halting)
+        for q, guard in guards.items():
+            if q not in live:
+                raise ValidationError(
+                    "guard key %r is not a live state" % (q,))
+            if guard not in self.rejecting_set:
+                raise ValidationError(
+                    "guard state %r of %r is not a declared rejecting state"
+                    % (guard, q))
+            if guard in targeted:
+                raise ValidationError(
+                    "guard state %r of %r is the target of a stored row"
+                    % (guard, q))
+        if len(set(guards.values())) != len(guards):
+            raise ValidationError("two live states share one guard state")
 
 
 def _is_step_budget(hint):
@@ -436,16 +496,18 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
 
     head_dir may mix per-state entries (state -> direction) with
     per-target entries ((state, comm) -> direction); the latter win.
-    Guard rows are added for every uncovered (live state, comm) pair:
-    (q, g) -> (rej~q, g), one fresh rejecting state per live state with
-    a hole (primed on a name clash).  Guard targets of one state differ
+    Every uncovered (live state, comm) pair is guarded: one fresh
+    rejecting state rej~q per live state q with a hole (primed on a name
+    clash), handed to the VerifierSpec as guards={q: rej~q}, implies the
+    guard row (q, g) -> (rej~q, g).  Guard targets of one state differ
     in g and those of different states differ in state, so each
-    per-symbol table stays injective on them.  The returned verifier is
-    completable: the remaining (halting-source) columns get a generic
-    unitary completion (identity-preferring, then orthonormal
-    complements of partially used target blocks) on the first read of
-    its full tables.  The per-symbol check of the live columns is made
-    before returning.
+    per-symbol table stays injective on them.  No guard row is stored:
+    the live tables hold the core rows only.  The returned verifier is
+    completable: its full tables, built on first read, hold the guard
+    rows and a generic unitary completion of the remaining
+    (halting-source) columns (identity-preferring, then orthonormal
+    complements of partially used target blocks).  The per-symbol check
+    of the live columns is made before returning.
     """
     comm_alphabet = tuple(comm_alphabet)
     non_halting = tuple(non_halting)
@@ -474,34 +536,25 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
             for _, q2, g2 in norm:
                 dir_for(q2, g2)
 
-    # guard rows: one fresh rejecting state per live state with a hole
-    guard_dir = 0 if two_way else 1
-    guard_states = []
+    # one fresh rejecting guard state per live state with a hole
+    guards = {}
     for q in non_halting:
-        holes = [g for g in comm_alphabet
-                 if not all((q, g) in rows[sym] for sym in padded)]
-        if not holes:
+        if all((q, g) in rows[sym] for g in comm_alphabet for sym in padded):
             continue
         fresh = "rej~%s" % (q,)
         while fresh in state_set:
             fresh += "'"
         state_set.add(fresh)
         rejecting.append(fresh)
-        guard_states.append(fresh)
-        for g in holes:
-            resolved_dir[(fresh, g)] = guard_dir
-            for sym in padded:
-                if (q, g) not in rows[sym]:
-                    rows[sym][(q, g)] = ((1.0, fresh, g),)
-                    row_class[sym][(q, g)] = GUARD
+        guards[q] = fresh
 
     meta = dict(metadata or {})
-    meta.setdefault("guard_states", len(guard_states))
+    meta.setdefault("guard_states", len(guards))
     spec = VerifierSpec(
         name=name, input_alphabet=input_alphabet, comm_alphabet=comm_alphabet,
         non_halting=non_halting, accepting=accepting, rejecting=rejecting,
         initial=initial, two_way=two_way, rows=rows, head_dir=resolved_dir,
-        row_class=row_class, metadata=meta, completable=True,
+        row_class=row_class, metadata=meta, guards=guards,
     )
     report = validate_wellformed(spec, tau=tau)
     if not report.ok:

@@ -37,8 +37,9 @@ survivors' interaction counts, all in one loop; the prover round's loop
 prunes.  run_mcomp calls the kernel with no prune, projects out the
 non-blank comm and then prunes the blank-comm survivors.
 
-Runs and the schedule DP read the verifier's live move tables (core and
-guard rows), so they never complete a table.  The premises of a
+Runs and the schedule DP read the verifier's live move tables (the
+stored core rows, whose lookups return the guard rows the verifier's
+guards imply), so they never complete a table.  The premises of a
 certified sweep do not depend on the input: branch-freeness for the
 one-way schedule DP, the announcement map for announced dominance.
 They are the verifier's cached properties branching and announcement,

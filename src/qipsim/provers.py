@@ -246,7 +246,9 @@ def check_committed(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
     HistoryResponder.apply makes of that reply and record on the empty
     tape, as the probe reports it.  Any other prover, or a responder
     under a negative or nan tau, is asked for its action on the blank
-    at every round x reachable tape.
+    at every round x reachable tape.  The blank can always sit in the
+    comm cell, so the tape closure walks it even when comm_alphabet
+    lacks it.
     """
     if acts_as_responder(prover) and tau >= 0:
         for t in range(1, rounds + 1):
@@ -260,8 +262,11 @@ def check_committed(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
                 )
         return ProverReport(ok=True, property_name="committed",
                             rounds_checked=max(rounds, 0))
+    alphabet = tuple(comm_alphabet)
+    if BLANK not in alphabet:
+        alphabet += (BLANK,)
     return _report(
-        "committed", _probe(prover, comm_alphabet, (BLANK,), rounds, budget),
+        "committed", _probe(prover, alphabet, (BLANK,), rounds, budget),
         lambda tape, out: (len(out) == 1 and abs(out[0][0] - 1.0) <= tau
                            and out[0][1] == BLANK and out[0][2] == tape))
 

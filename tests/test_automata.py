@@ -34,6 +34,7 @@ from qipsim.automata import (
 from qipsim.cli import resolve_spec
 from qipsim.errors import EngineError, ValidationError
 from qipsim.linalg import check_unitary, isometry_defect
+from qipsim.zoo import make_bundle
 from strategies import core_tables
 
 
@@ -348,7 +349,7 @@ def test_live_column_check_needs_the_rows_completion_cannot_supply():
               for sym in (LEFT_END, RIGHT_END)},
     )
     # only halting-source rows are missing: completion supplies them
-    partial = VerifierSpec(**base, completable=True)
+    partial = VerifierSpec(**base, guards={})
     assert validate_wellformed(partial, inputs=[""]).ok
     assert len(partial.rows[LEFT_END]) == len(partial.states)
     # a plain verifier is not completable: the same table is incomplete
@@ -359,9 +360,83 @@ def test_live_column_check_needs_the_rows_completion_cannot_supply():
         build_step_operator(plain, "")
     # a missing live row is inf even when completable
     rows = {LEFT_END: base["rows"][LEFT_END], RIGHT_END: {}}
-    gappy = VerifierSpec(**{**base, "rows": rows}, completable=True)
+    gappy = VerifierSpec(**{**base, "rows": rows}, guards={})
     assert validate_wellformed(gappy).per_symbol == {
         LEFT_END: 0.0, RIGHT_END: float("inf")}
+
+
+def _assert_guard_rows_are_implied(v, core_keys=None):
+    """The live tables hold the core rows only; every other live-source
+    lookup returns the full table's guard row; and the per-symbol defect
+    is the Gram defect of the full table's core and guard columns."""
+    if v.guards is None:
+        # a plain verifier: its live tables are its full tables
+        assert v.moves is v.live_moves
+        return
+    stored = {(sym, key) for sym, table in v.live_moves.items()
+              for key in table}
+    full_core = {(sym, key) for sym, table in v.rows.items() for key in table
+                 if v.class_of(sym, *key) == CORE}
+    assert stored == full_core
+    if core_keys is not None:
+        assert stored == core_keys
+    for sym in v.padded_alphabet:
+        live, full = v.live_moves[sym], v.moves[sym]
+        for q in v.guards:
+            for g in v.comm_alphabet:
+                if (q, g) not in live:
+                    assert live[q, g] == full[q, g]
+                    assert v.class_of(sym, q, g) == GUARD
+        keys = [p for p in v.pair_index if p in full
+                and v.class_of(sym, *p) in (CORE, GUARD)]
+        want = isometry_defect(
+            [(v.pair_index[q2, g2], j, amp) for j, key in enumerate(keys)
+             for amp, q2, g2, _d in full[key]], len(keys))
+        assert v.per_symbol_defects[sym] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(core_tables())
+def test_live_tables_hold_only_core_rows_on_random_core_tables(kwargs):
+    v = complete_verifier(**kwargs)
+    _assert_guard_rows_are_implied(v, {
+        (sym, key) for sym, table in kwargs["core_rows"].items()
+        for key in table})
+
+
+@pytest.mark.parametrize("token", SHIPPED)
+def test_shipped_live_tables_hold_only_core_rows(token):
+    _assert_guard_rows_are_implied(resolve_spec(token).make().verifier)
+
+
+def test_equal_blocks_live_tables_hold_its_core_rows():
+    v = make_bundle("equal_blocks", {"branches": 8}).verifier
+    assert sum(len(table) for table in v.live_moves.values()) == 104
+    assert len(list(v.core_rows())) == 104
+
+
+@pytest.mark.parametrize("guards, message", [
+    ({"acc": "g0"}, "guard key 'acc' is not a live state"),
+    ({"nowhere": "g0"}, "guard key 'nowhere' is not a live state"),
+    ({"q0": "nowhere"}, "'nowhere' of 'q0' is not a declared rejecting"),
+    ({"q0": "acc"}, "'acc' of 'q0' is not a declared rejecting"),
+    ({"q0": "rej"}, "'rej' of 'q0' is the target of a stored row"),
+    ({"q0": "g0", "q1": "g0"}, "two live states share one guard state"),
+])
+def test_verifier_spec_refuses_malformed_guard_maps(guards, message):
+    base = dict(
+        name="guarded", input_alphabet=("0",), comm_alphabet=(BLANK, "a"),
+        non_halting=("q0", "q1"), accepting=("acc",),
+        rejecting=("rej", "g0", "g1"), initial="q0", two_way=False,
+        rows={"0": {("q0", BLANK): ((1.0, "rej", BLANK),)}},
+        head_dir={("rej", BLANK): 1},
+    )
+    ok = VerifierSpec(**base, guards={"q0": "g0", "q1": "g1"})
+    assert ok.live_moves["0"]["q1", "a"] == ((1.0, "g1", "a", 1),)
+    with pytest.raises(ValidationError, match="incomplete table"):
+        ok.live_moves["0"]["q1", "zzz"]
+    with pytest.raises(ValidationError, match=message):
+        VerifierSpec(**base, guards=guards)
 
 
 def _reference_step_operator(verifier, x):

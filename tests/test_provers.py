@@ -216,6 +216,8 @@ def reference_committed(prover, comm_alphabet, rounds, tau=1e-9,
     if acts_as_responder(prover):
         probe = [(t, BLANK, ()) for t in range(1, rounds + 1)]
     else:
+        if BLANK not in comm_alphabet:
+            comm_alphabet = tuple(comm_alphabet) + (BLANK,)
         probe = ((t, g, tape) for t, g, tape in _reference_closure(
             prover, comm_alphabet, rounds, budget) if g == BLANK)
     checked = 0
@@ -352,6 +354,18 @@ def test_explicit_round_provers_are_still_probed():
     assert not report.ok
     identity_like = ExplicitRoundProver({}, prover_id="still")
     assert_matches_reference(identity_like, (BLANK, "m"), 3)
+
+
+def test_committed_closure_walks_the_blank_the_alphabet_lacks():
+    # the prover writes m on the blank in round 1; the alphabet it is
+    # handed does not list the blank, but the comm cell can still hold it
+    prover = ExplicitRoundProver({1: ([(BLANK, ()), ("m", ())],
+                                      [[0, 1], [1, 0]])})
+    report = check_committed(prover, ("m",), 3)
+    assert not report.ok
+    assert report.rounds_checked == 1
+    assert report == check_committed(prover, (BLANK, "m"), 3)
+    assert_matches_reference(prover, ("m",), 3)
 
 
 class LateSuperposer(Prover):
