@@ -476,17 +476,27 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def resolve_dir(head_dir, state, comm, two_way):
-    """Direction of target (state, comm): its per-target entry, else its
-    per-state entry, else +1 when one-way; else ValidationError."""
-    if (state, comm) in head_dir:
-        return head_dir[(state, comm)]
-    if state in head_dir:
-        return head_dir[state]
-    if not two_way:
-        return 1
-    raise ValidationError(
-        "no head direction given for target (%r, %r)" % (state, comm))
+def target_dirs(row_targets, head_dir, two_way):
+    """{(state, comm): direction} for every target of row_targets (the
+    target tuples of each row, read in order): its per-target entry in
+    head_dir, else its state's per-state entry, else +1 when one-way;
+    else ValidationError, for the first target that has none."""
+    resolved = {}
+    for targets in row_targets:
+        for _, state, comm in targets:
+            if (state, comm) in resolved:
+                continue
+            if (state, comm) in head_dir:
+                resolved[state, comm] = head_dir[state, comm]
+            elif state in head_dir:
+                resolved[state, comm] = head_dir[state]
+            elif two_way:
+                raise ValidationError(
+                    "no head direction given for target (%r, %r)"
+                    % (state, comm))
+            else:
+                resolved[state, comm] = 1
+    return resolved
 
 
 def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
@@ -516,25 +526,20 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
     state_set = set(non_halting) | set(accepting) | set(rejecting)
     padded = (LEFT_END,) + tuple(input_alphabet) + (RIGHT_END,)
 
-    rows = {sym: dict(core_rows.get(sym, {})) for sym in padded}
-    row_class = {sym: {key: CORE for key in rows[sym]} for sym in padded}
-    resolved_dir = {}
+    rows = {sym: {} for sym in padded}
 
-    def dir_for(state, comm):
-        key = (state, comm)
-        if key not in resolved_dir:
-            resolved_dir[key] = resolve_dir(head_dir, state, comm, two_way)
-        return resolved_dir[key]
+    def normalized():
+        # each core row's targets, normalized, before the next row is
+        # read: a row's directions are resolved before later amplitudes
+        for sym in padded:
+            for key, targets in core_rows.get(sym, {}).items():
+                rows[sym][key] = tuple(
+                    (ensure_finite(amp), q2, g2) for amp, q2, g2 in targets
+                )
+                yield rows[sym][key]
 
-    # normalize core targets and resolve their directions
-    for sym in padded:
-        for key, targets in list(rows[sym].items()):
-            norm = tuple(
-                (ensure_finite(amp), q2, g2) for amp, q2, g2 in targets
-            )
-            rows[sym][key] = norm
-            for _, q2, g2 in norm:
-                dir_for(q2, g2)
+    resolved_dir = target_dirs(normalized(), head_dir, two_way)
+    row_class = {sym: dict.fromkeys(rows[sym], CORE) for sym in padded}
 
     # one fresh rejecting guard state per live state with a hole
     guards = {}

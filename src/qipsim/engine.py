@@ -568,8 +568,7 @@ def announcement_map(verifier):
     return dict(announce)
 
 
-def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
-                             method="auto", enumeration_budget=200000):
+def best_schedule_acceptance(verifier, x, cfg=None, method="auto"):
     """Exact maximum acceptance over all fixed message schedules.
 
     For one-way verifiers whose live rows are branch-free the run has a
@@ -590,8 +589,8 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
     (no history records at all) is run as well, both through
     sweep_family, and the larger upper bound is reported.  Non-announced
     two-way verifiers raise FamilyInadequacyError.  The DP/enumeration
-    methods and committed_only are one-way options; passing them for a
-    two-way verifier raises EngineError.
+    methods are one-way options; passing one for a two-way verifier
+    raises EngineError.
 
     method="enumeration" is the brute-force oracle for the one-way
     optimum.  It walks the schedule trie depth first, in
@@ -600,7 +599,7 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
     the last step) is counted, not simulated.  runs still counts every
     schedule, the first maximiser wins, and every fork keeps the plain
     run's checks: conservation, prune, tape truncation, and the family
-    budget before any step.
+    budget (provers.ENUMERATION_BUDGET schedules) before any step.
 
     The sweep's witness is the run attaining best_p, made with cfg: the
     DP's reconstructed schedule, enumeration's best schedule rerun once,
@@ -610,11 +609,10 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
     if method not in ("auto", "dp", "enumeration"):
         raise EngineError("unknown sweep method %r" % (method,))
     if verifier.two_way:
-        if method != "auto" or committed_only:
+        if method != "auto":
             raise EngineError(
                 "two-way verifiers are certified by announced dominance "
-                "only; method=%r committed_only=%r do not apply"
-                % (method, committed_only)
+                "only; method=%r does not apply" % (method,)
             )
         announcement_map(verifier)
         family = sweep_family(
@@ -630,12 +628,11 @@ def best_schedule_acceptance(verifier, x, cfg=None, committed_only=False,
         )
     _require_schedule_adequacy(verifier)
     if method in ("auto", "dp"):
-        return _schedule_dp(verifier, x, cfg, committed_only)
-    return _schedule_enumeration(verifier, x, cfg, committed_only,
-                                 enumeration_budget)
+        return _schedule_dp(verifier, x, cfg)
+    return _schedule_enumeration(verifier, x, cfg)
 
 
-def _schedule_dp(verifier, x, cfg, committed_only):
+def _schedule_dp(verifier, x, cfg):
     """The one-way schedule DP over nodes (state, comm) per step.
 
     A one-way head reads cell t - 1 at step t, so the head is not part of
@@ -650,11 +647,6 @@ def _schedule_dp(verifier, x, cfg, committed_only):
     cells = [verifier.live_moves[s]
              for s in padded_input(x, verifier.input_alphabet)]
     length = len(cells)
-
-    def options(g2):
-        if committed_only and g2 == BLANK:
-            return (BLANK,)
-        return verifier.comm_alphabet
 
     # layers[t - 1]: {node: (value, None) or (None, (q2, g2))} at step t
     layers = []
@@ -674,7 +666,7 @@ def _schedule_dp(verifier, x, cfg, committed_only):
                 layer[q, g] = (0.0, None)
             else:
                 layer[q, g] = (None, (q2, g2))
-                for s in options(g2):
+                for s in verifier.comm_alphabet:
                     reached[q2, s] = None
         layers.append(layer)
         if not reached:
@@ -689,7 +681,7 @@ def _schedule_dp(verifier, x, cfg, committed_only):
             if move is not None:
                 q2, g2 = move
                 result, best_s = -1.0, None
-                for s in options(g2):
+                for s in verifier.comm_alphabet:
                     v = later[q2, s]
                     if v > result:
                         result, best_s = v, s
@@ -711,7 +703,7 @@ def _schedule_dp(verifier, x, cfg, committed_only):
     )
 
 
-def _schedule_enumeration(verifier, x, cfg, committed_only, budget):
+def _schedule_enumeration(verifier, x, cfg):
     """Walk the schedule trie depth first, in enumerate_schedules order.
 
     A node is a run state after a verifier step; its children are the
@@ -722,8 +714,7 @@ def _schedule_enumeration(verifier, x, cfg, committed_only, budget):
     maximiser wins; it is rerun with cfg to give the witness.
     """
     rounds = len(x) + 1
-    options = schedule_options(verifier.comm_alphabet, rounds,
-                               committed_only=committed_only, budget=budget)
+    options = schedule_options(verifier.comm_alphabet, rounds)
     # in round t the schedule writing s every round acts as any
     # schedule whose round-t option is s
     provers = [MessageSchedule({} if s is None
@@ -762,8 +753,11 @@ def _schedule_enumeration(verifier, x, cfg, committed_only, budget):
 
 @dataclass
 class FamilySweep:
+    """One run per prover of a family, in family order, and the largest
+    acceptance upper bound among them: the family's worst case.
+    """
+
     input: str
-    best_lower: float
     best_upper: float
     rows: list = field(default_factory=list)
 
@@ -777,13 +771,9 @@ def sweep_family(verifier, x, provers, cfg=None):
     """Run each prover in the family; report the worst-case acceptance."""
     cfg = cfg or EngineConfig()
     rows = []
-    best_lower = 0.0
     best_upper = 0.0
     for prover in provers:
         result = run_protocol(verifier, x, prover, cfg)
-        lo, hi = result.acceptance_bounds
         rows.append(result)
-        best_lower = max(best_lower, lo)
-        best_upper = max(best_upper, hi)
-    return FamilySweep(input=x, best_lower=best_lower,
-                       best_upper=best_upper, rows=rows)
+        best_upper = max(best_upper, result.acceptance_bounds[1])
+    return FamilySweep(input=x, best_upper=best_upper, rows=rows)

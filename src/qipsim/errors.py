@@ -13,16 +13,11 @@ class QipsimError(Exception):
 
 class ParseError(QipsimError):
     """A spec document could not be parsed or violates the document schema,
-    or a path named on the command line could not be read or written."""
+    or a path named on the command line could not be read or written.
+    It carries only its message: parse_spec writes a JSON syntax error's
+    line and column into the message itself."""
 
     exit_code = 2
-
-    def __init__(self, message, line=None, column=None):
-        self.line = line
-        self.column = column
-        if line is not None:
-            message = "%s (line %d, column %d)" % (message, line, column or 0)
-        super().__init__(message)
 
 
 class ValidationError(QipsimError):

@@ -24,6 +24,10 @@ from .automata import BLANK
 from .errors import BudgetError, ValidationError
 from .linalg import check_unitary, ensure_finite
 
+# the most schedules a family may hold, and the most tapes a prover may
+# reach in one round, before enumeration or a probe is refused
+ENUMERATION_BUDGET = 200000
+
 
 class Prover:
     """Interface: apply(round_index, comm, tape) -> [(amp, comm', tape')].
@@ -173,12 +177,13 @@ class ProverReport:
         return "%s: violated at %r" % (self.property_name, self.witness)
 
 
-def _probe(prover, comm_alphabet, symbols, rounds, budget):
+def _probe(prover, comm_alphabet, symbols, rounds):
     """Yield (round, comm, tape, prover.apply(round, comm, tape)) for the
     probed triples whose comm is in symbols.  A responder never sees its
     tape, so it is probed on the empty tape; any other prover on every
     tape it reaches, the actions on the whole alphabet giving the tapes
-    of the next round, with one apply call per triple.
+    of the next round, with one apply call per triple.  A round that
+    reaches more than ENUMERATION_BUDGET tapes raises BudgetError.
     """
     if acts_as_responder(prover):
         for t in range(1, rounds + 1):
@@ -194,10 +199,10 @@ def _probe(prover, comm_alphabet, symbols, rounds, budget):
                 nxt.update(tape2 for _, _, tape2 in action)
                 if g in symbols:
                     yield t, g, tape, action
-        if len(nxt) > budget:
+        if len(nxt) > ENUMERATION_BUDGET:
             raise BudgetError(
                 "reachable-tape closure exceeded %d entries at round %d"
-                % (budget, t)
+                % (ENUMERATION_BUDGET, t)
             )
         tapes = nxt
 
@@ -216,7 +221,7 @@ def _report(name, probe, good):
     return ProverReport(ok=True, property_name=name, rounds_checked=checked)
 
 
-def check_classical(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
+def check_classical(prover, comm_alphabet, rounds, tau=1e-9):
     """A prover is classical when every reachable action is a plain move:
     a single output component with amplitude 1.
 
@@ -224,19 +229,19 @@ def check_classical(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
     is never called; the report names the rounds the probe would have
     checked.  Any other prover, or a responder under a negative or nan
     tau, is asked for its action on every round x comm symbol x
-    reachable tape.
+    reachable tape, and refused with BudgetError when a round reaches
+    more than ENUMERATION_BUDGET tapes.
     """
     if acts_as_responder(prover) and tau >= 0:
         checked = max(rounds, 0) if comm_alphabet else 0
         return ProverReport(ok=True, property_name="classical",
                             rounds_checked=checked)
     return _report(
-        "classical", _probe(prover, comm_alphabet, comm_alphabet, rounds,
-                            budget),
+        "classical", _probe(prover, comm_alphabet, comm_alphabet, rounds),
         lambda tape, out: len(out) == 1 and not abs(out[0][0] - 1.0) > tau)
 
 
-def check_committed(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
+def check_committed(prover, comm_alphabet, rounds, tau=1e-9):
     """A prover is committed when it never touches a blank comm cell:
     on observing the blank it must reply blank and leave the tape alone,
     for every history reachable at that round.
@@ -248,7 +253,8 @@ def check_committed(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
     under a negative or nan tau, is asked for its action on the blank
     at every round x reachable tape.  The blank can always sit in the
     comm cell, so the tape closure walks it even when comm_alphabet
-    lacks it.
+    lacks it.  A round that reaches more than ENUMERATION_BUDGET tapes
+    raises BudgetError.
     """
     if acts_as_responder(prover) and tau >= 0:
         for t in range(1, rounds + 1):
@@ -266,39 +272,37 @@ def check_committed(prover, comm_alphabet, rounds, tau=1e-9, budget=200000):
     if BLANK not in alphabet:
         alphabet += (BLANK,)
     return _report(
-        "committed", _probe(prover, alphabet, (BLANK,), rounds, budget),
+        "committed", _probe(prover, alphabet, (BLANK,), rounds),
         lambda tape, out: (len(out) == 1 and abs(out[0][0] - 1.0) <= tau
                            and out[0][1] == BLANK and out[0][2] == tape))
 
 
-def schedule_options(comm_alphabet, rounds, committed_only=False,
-                     budget=200000):
+def schedule_options(comm_alphabet, rounds, committed_only=False):
     """The per-round options of the fixed message schedules: None leaves
     the comm cell alone, a symbol writes it; committed_only restricts
     writes to the blank (erasure).  Raises BudgetError when the family,
-    len(options) ** rounds schedules, exceeds the budget.
+    len(options) ** rounds schedules, exceeds ENUMERATION_BUDGET.
     """
     if committed_only:
         options = [None, BLANK]
     else:
         options = [None] + list(comm_alphabet)
     total = len(options) ** rounds
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise BudgetError(
             "schedule family has %d members, over the %d budget"
-            % (total, budget)
+            % (total, ENUMERATION_BUDGET)
         )
     return options
 
 
-def enumerate_schedules(comm_alphabet, rounds, committed_only=False,
-                        budget=200000):
+def enumerate_schedules(comm_alphabet, rounds, committed_only=False):
     """All fixed message schedules over the given number of rounds, each
     round taking one of schedule_options in turn, the first round
     varying slowest.  Raises BudgetError (on the first next()) when the
-    family size exceeds the budget.
+    family exceeds ENUMERATION_BUDGET.
     """
-    options = schedule_options(comm_alphabet, rounds, committed_only, budget)
+    options = schedule_options(comm_alphabet, rounds, committed_only)
     for combo in itertools.product(options, repeat=rounds):
         writes = {
             t + 1: s for t, s in enumerate(combo) if s is not None

@@ -28,7 +28,7 @@ from dataclasses import replace
 
 from .automata import (
     CORE, COMPLETION, GUARD, LEFT_END, RIGHT_END, VerifierSpec,
-    complete_verifier, resolve_dir,
+    complete_verifier, target_dirs,
 )
 from .errors import ParseError
 from .linalg import as_integer, fourier_entry
@@ -504,35 +504,23 @@ def _make_from_verifier_document(document):
         rows[sym] = table
         classes[sym] = table_cls
 
-    fill = document["fill"]["guards"]
-    if fill:
-        verifier = complete_verifier(
-            name=name, input_alphabet=tuple(document["input_alphabet"]),
-            comm_alphabet=tuple(document["comm_alphabet"]),
-            non_halting=tuple(document["states"]["live"]),
-            accepting=tuple(document["states"]["accepting"]),
-            rejecting=tuple(document["states"]["rejecting"]),
-            initial=document["states"]["initial"], two_way=two_way,
-            core_rows=rows, head_dir=head_dir,
-            metadata=document.get("metadata"),
-        )
+    common = dict(
+        name=name, input_alphabet=tuple(document["input_alphabet"]),
+        comm_alphabet=tuple(document["comm_alphabet"]),
+        non_halting=tuple(document["states"]["live"]),
+        accepting=tuple(document["states"]["accepting"]),
+        rejecting=tuple(document["states"]["rejecting"]),
+        initial=document["states"]["initial"], two_way=two_way,
+        metadata=document.get("metadata"),
+    )
+    if document["fill"]["guards"]:
+        verifier = complete_verifier(core_rows=rows, head_dir=head_dir,
+                                     **common)
     else:
-        resolved = {
-            (q2, g2): resolve_dir(head_dir, q2, g2, two_way)
-            for table in rows.values()
-            for targets in table.values()
-            for _, q2, g2 in targets
-        }
+        targets = (t for table in rows.values() for t in table.values())
         verifier = VerifierSpec(
-            name=name, input_alphabet=tuple(document["input_alphabet"]),
-            comm_alphabet=tuple(document["comm_alphabet"]),
-            non_halting=tuple(document["states"]["live"]),
-            accepting=tuple(document["states"]["accepting"]),
-            rejecting=tuple(document["states"]["rejecting"]),
-            initial=document["states"]["initial"], two_way=two_way,
-            rows=rows, head_dir=resolved, row_class=classes,
-            metadata=document.get("metadata"),
-        )
+            rows=rows, head_dir=target_dirs(targets, head_dir, two_way),
+            row_class=classes, **common)
 
     honest_doc = document["honest_prover"]
     if honest_doc["type"] == "identity":
@@ -543,8 +531,6 @@ def _make_from_verifier_document(document):
         prover_id = honest_doc.get("prover_id")
 
         def honest(_x, _writes=writes, _pid=prover_id):
-            if _pid is None:
-                return MessageSchedule(_writes)
             return MessageSchedule(_writes, prover_id=_pid)
 
     return ProtocolBundle(

@@ -439,6 +439,34 @@ def test_verifier_spec_refuses_malformed_guard_maps(guards, message):
         VerifierSpec(**base, guards=guards)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"comm_alphabet": (BLANK, "a", "a")}, "duplicate comm symbols"),
+    ({"rows": {"9": {}}}, "transition table for unknown symbol '9'"),
+    ({"rows": {"0": {("q9", BLANK): ((1.0, "rej", BLANK),)}}},
+     "transition source ('q9', '#') references unknown ids"),
+    ({"rows": {"0": {("q0", "z"): ((1.0, "rej", BLANK),)}}},
+     "transition source ('q0', 'z') references unknown ids"),
+    ({"rows": {"0": {("q0", BLANK): ((1.0, "q9", BLANK),)}}},
+     "transition target ('q9', '#') references unknown ids"),
+    ({"rows": {"0": {("q0", BLANK): ((1.0, "rej", "z"),)}}},
+     "transition target ('rej', 'z') references unknown ids"),
+    ({"two_way": True, "head_dir": {("rej", BLANK): 2}},
+     "head direction 2 out of range at ('rej', '#')"),
+])
+def test_verifier_spec_refuses_malformed_structure(change, message):
+    base = dict(
+        name="plain", input_alphabet=("0",), comm_alphabet=(BLANK, "a"),
+        non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
+        initial="q0", two_way=False,
+        rows={"0": {("q0", BLANK): ((1.0, "rej", BLANK),)}},
+        head_dir={("rej", BLANK): 1},
+    )
+    VerifierSpec(**base)
+    with pytest.raises(ValidationError) as info:
+        VerifierSpec(**{**base, **change})
+    assert str(info.value) == message
+
+
 def _reference_step_operator(verifier, x):
     """(matrix, basis) built by a loop over the basis, one row lookup per
     (state, head, comm) label: the reference for build_step_operator.
@@ -579,6 +607,23 @@ def test_1rfa_totality_required():
         validate_1rfa_reversible(m)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: setattr(m, "initial", "acc"), "initial state must be live"),
+    (lambda m: m.delta.pop(("odd", "1")),
+     "transition missing for ('odd', '1')"),
+    (lambda m: m.delta.update({("odd", "0"): "nowhere"}),
+     "unknown target state 'nowhere'"),
+    (lambda m: m.delta.update({("odd", "0"): "even"}),
+     "not reversible: 'even' and 'odd' both reach 'even' on '0'"),
+])
+def test_1rfa_refusals_name_the_fault(edit, message):
+    m = parity_machine()
+    edit(m)
+    with pytest.raises(ValidationError) as info:
+        validate_1rfa_reversible(m)
+    assert str(info.value) == message
+
+
 def coin_flip_machine():
     coin = {
         ("c0", sym): ("acc", "rej")
@@ -646,3 +691,41 @@ def test_2npfa_normal_form_rejected_when_broken():
     )
     with pytest.raises(ValidationError):
         validate_2npfa_normalized(bad)
+
+
+def coin_and_choice_machine():
+    """A coin state c0 that moves to a choice state n0 or rejects."""
+    padded = (LEFT_END, "0", RIGHT_END)
+    return TwoNpfaSpec(
+        name="mixed", input_alphabet=("0",), coin_states=("c0",),
+        choice_states=("n0",), accepting=("acc",), rejecting=("rej",),
+        initial="c0", coin={("c0", sym): ("n0", "rej") for sym in padded},
+        choice={("n0", sym): (("acc", 1), ("rej", -1)) for sym in padded},
+    )
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: setattr(m, "initial", "acc"), "initial state must be live"),
+    (lambda m: setattr(m, "choice_states", ("n0", "c0")),
+     "coin and choice state sets overlap"),
+    (lambda m: m.coin.pop(("c0", "0")), "coin row missing for ('c0', '0')"),
+    (lambda m: m.coin.update({("c0", "0"): ("rej", "rej")}),
+     "coin at ('c0', '0') must have two distinct successors"),
+    (lambda m: m.coin.update({("c0", "0"): ("n0", "nowhere")}),
+     "unknown coin successor at ('c0', '0')"),
+    (lambda m: m.choice.update({("n0", "0"): ()}),
+     "choice row missing or empty for ('n0', '0')"),
+    (lambda m: m.choice.update({("n0", "0"): (("acc", 1), ("acc", 1))}),
+     "duplicate choice at ('n0', '0')"),
+    (lambda m: m.choice.update({("n0", "0"): (("nowhere", 1),)}),
+     "unknown choice target at ('n0', '0')"),
+    (lambda m: m.choice.update({("n0", "0"): (("acc", 0),)}),
+     "choice direction must be -1 or +1 at ('n0', '0')"),
+])
+def test_2npfa_refusals_name_the_fault(edit, message):
+    m = coin_and_choice_machine()
+    assert validate_2npfa_normalized(m)
+    edit(m)
+    with pytest.raises(ValidationError) as info:
+        validate_2npfa_normalized(m)
+    assert str(info.value) == message

@@ -313,14 +313,6 @@ def test_schedule_best_dp_matches_enumeration(zero, odd):
                 dp.schedule).prover_id
 
 
-def test_schedule_best_committed_only_is_no_better(odd):
-    free = best_schedule_acceptance(odd.verifier, "10")
-    committed = best_schedule_acceptance(odd.verifier, "10",
-                                         committed_only=True)
-    assert committed.best_p <= free.best_p + 1e-12
-    assert free.best_p == pytest.approx(1.0)
-
-
 def test_two_way_schedule_sweep_uses_announcements(blocks):
     # live states each announce a single comm symbol, so the sweep is exact
     announce = announcement_map(blocks.verifier)
@@ -337,7 +329,7 @@ def test_two_way_schedule_sweep_uses_announcements(blocks):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"method": "dp"}, {"method": "enumeration"}, {"committed_only": True},
+    {"method": "dp"}, {"method": "enumeration"},
 ])
 def test_two_way_schedule_sweep_refuses_one_way_options(blocks, kwargs):
     with pytest.raises(EngineError):
@@ -476,6 +468,34 @@ def test_tape_truncation_is_a_budget_error():
     assert full.p_acc == pytest.approx(1.0)
 
 
+def test_a_non_responders_tape_is_truncated(odd):
+    # a permutation that logs one record in round 1, whatever the comm
+    logged = ((1, "x"),)
+    logger = ExplicitRoundProver({1: (
+        [(BLANK, ()), (BLANK, logged), ("a", ()), ("a", logged)],
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])})
+    with pytest.raises(BudgetError) as info:
+        run_protocol(odd.verifier, "10", logger, EngineConfig(tape_trunc=0))
+    assert str(info.value) == (
+        "prover history exceeded the 0-record truncation")
+    run_protocol(odd.verifier, "10", logger, EngineConfig(tape_trunc=1))
+
+
+def test_schedule_dp_refuses_a_non_unimodular_amplitude():
+    # tau=inf lets a branch-free row of amplitude 0.5 past the per-symbol
+    # check; the DP's premise still fails on it
+    v = complete_verifier(
+        name="half", input_alphabet=("0",), comm_alphabet=(BLANK,),
+        non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
+        initial="q0", two_way=False, head_dir={},
+        core_rows={LEFT_END: {("q0", BLANK): ((0.5, "q0", BLANK),)}},
+        tau=float("inf"))
+    with pytest.raises(FamilyInadequacyError) as info:
+        best_schedule_acceptance(v, "0")
+    assert str(info.value) == (
+        "non-unimodular branch-free amplitude at ('q0', '#')")
+
+
 def test_prover_runs_once_per_comm_and_tape_per_round():
     # the prover never sees the verifier's state or head, so every
     # configuration sharing a (comm, tape) in a round shares one action
@@ -599,17 +619,14 @@ def _reference_run(verifier, x, prover, cfg):
     )
 
 
-def _reference_enumeration(verifier, x, cfg, committed_only=False,
-                           budget=200000):
+def _reference_enumeration(verifier, x, cfg):
     """best_schedule_acceptance(method="enumeration") as one run_protocol
     per enumerated schedule: the reference for the engine's trie walk.
     """
     engine._require_schedule_adequacy(verifier)
     witness = None
     runs = 0
-    for schedule in enumerate_schedules(
-            verifier.comm_alphabet, len(x) + 1,
-            committed_only=committed_only, budget=budget):
+    for schedule in enumerate_schedules(verifier.comm_alphabet, len(x) + 1):
         result = run_protocol(verifier, x, schedule, cfg)
         runs += 1
         if witness is None or result.p_acc > witness.p_acc:
@@ -936,16 +953,14 @@ def test_two_way_step_budget_below_one_is_an_engine_error(budget):
 @given(core_tables(two_way=False, max_width=1), st.data())
 def test_schedule_trie_matches_the_per_schedule_reference(kwargs, data):
     v = complete_verifier(**kwargs)
-    committed_only = data.draw(st.booleans())
     cfg = EngineConfig(
         prune=data.draw(st.sampled_from((0.0, 1e-3))),
         count_interactions=data.draw(st.booleans()),
         record_steps=data.draw(st.booleans()),
         check_conservation=data.draw(st.booleans()))
     for x in SHORT_INPUTS:
-        got = best_schedule_acceptance(v, x, cfg, method="enumeration",
-                                       committed_only=committed_only)
-        want = _reference_enumeration(v, x, cfg, committed_only)
+        got = best_schedule_acceptance(v, x, cfg, method="enumeration")
+        want = _reference_enumeration(v, x, cfg)
         assert got.best_p == want.best_p
         assert got.runs == want.runs
         assert got.schedule == want.schedule
@@ -999,21 +1014,21 @@ def _raised(call):
 @pytest.mark.parametrize("case", [
     "tape_trunc", "family_budget", "not_adequate", "not_conserved"])
 def test_schedule_trie_raises_what_the_reference_raises(zero, odd, case):
-    verifier, x, cfg, budget = odd.verifier, "0101", EngineConfig(), 200000
+    verifier, x, cfg = odd.verifier, "0101", EngineConfig()
     if case == "tape_trunc":
         # zero writes its state to the comm cell on every live step, so a
         # leaving schedule logs a record each round
         verifier, x, cfg = zero.verifier, "10", EngineConfig(tape_trunc=1)
     elif case == "family_budget":
-        budget = 3 ** len("0101")
+        # 3 options over 12 rounds: 531 441 schedules, over the budget
+        x = "01101001011"
     elif case == "not_adequate":
         verifier, x = leaky_verifier(), "00"
     else:
         cfg = EngineConfig(check_conservation=True, tau=-1.0)
-    want = _raised(lambda: _reference_enumeration(verifier, x, cfg,
-                                                  budget=budget))
+    want = _raised(lambda: _reference_enumeration(verifier, x, cfg))
     got = _raised(lambda: best_schedule_acceptance(
-        verifier, x, cfg, method="enumeration", enumeration_budget=budget))
+        verifier, x, cfg, method="enumeration"))
     assert type(got) is type(want)
     assert str(got) == str(want)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qipsim
+from qipsim import provers
 from qipsim.automata import BLANK, LEFT_END, complete_verifier
 from qipsim.cli import instantiate, main, resolve_spec
 from qipsim.engine import EngineConfig, resolve_max_steps, run_protocol
@@ -174,7 +175,24 @@ def test_enumerate_schedules_counts():
 
 def test_enumerate_schedules_budget():
     with pytest.raises(BudgetError):
-        list(enumerate_schedules((BLANK, "a", "b"), 12, budget=100))
+        list(enumerate_schedules((BLANK, "a", "b"), 12))
+
+
+def test_one_budget_caps_schedule_families_and_reachable_tapes(monkeypatch):
+    # a permutation that logs on "m": two tapes reached in round 1
+    logger = ExplicitRoundProver(
+        {1: ([("m", ()), ("m", ((1, "m"),))], [[0, 1], [1, 0]])})
+    for check in (check_classical, check_committed):
+        assert check(logger, (BLANK, "m"), 2).ok
+    monkeypatch.setattr(provers, "ENUMERATION_BUDGET", 1)
+    for check in (check_classical, check_committed):
+        with pytest.raises(BudgetError) as info:
+            check(logger, (BLANK, "m"), 2)
+        assert str(info.value) == (
+            "reachable-tape closure exceeded 1 entries at round 1")
+    with pytest.raises(BudgetError) as info:
+        list(enumerate_schedules((BLANK,), 1))
+    assert str(info.value) == "schedule family has 2 members, over the 1 budget"
 
 
 # -- the by-type certificates against the probe ---------------------------

@@ -974,3 +974,198 @@ def test_cli_unknown_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# -- refusals, one case each --------------------------------------------------
+
+
+def _toy(path, value):
+    """A builder of the toy_explicit document with the entry at path (a
+    tuple of keys and indices) set to value."""
+    def build():
+        doc = _toy_document()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return build
+
+
+def _odd(**fields):
+    """A builder of the odd bundle document with fields added."""
+    return lambda: {"format": "qip-spec-1", "kind": "bundle",
+                    "bundle": "odd", **fields}
+
+
+def _toy_with_a_repeated_row():
+    doc = _toy_document()
+    doc["rows"]["0"].append(doc["rows"]["0"][0])
+    return doc
+
+
+def _two_way_toy_with_two_faults():
+    # the '^' row targets q0, which has no head direction, and the later
+    # '$' row has an infinite amplitude: the earlier row's fault is named
+    doc = _toy_document()
+    doc["two_way"] = True
+    doc["head_dir"] = {"per_state": {"qa": 1, "qb": 1, "acc": 0, "rej": 0},
+                       "per_target": []}
+    doc["rows"]["^"][0]["targets"][0][1] = "q0"
+    doc["rows"]["$"][0]["targets"][0][0] = {"re": math.inf, "im": 0.0}
+    return doc
+
+
+_AMP = ("rows", "0", 0, "targets", 0, 0)
+_ROW = ("rows", "0", 0)
+_CHECK = ["check", "SPEC"]
+
+
+@pytest.mark.parametrize("spec, argv, code, fragment", [
+    pytest.param(_toy(_AMP, True), _CHECK, 2,
+                 "rows['0'][0].targets[0]: booleans are not amplitudes",
+                 id="amp-bool"),
+    pytest.param(_toy(_AMP, {"fourier": {"n": 4, "j": 1}}), _CHECK, 2,
+                 "fourier form needs n, j, l (missing 'l')",
+                 id="amp-fourier-missing"),
+    pytest.param(_toy(_AMP, {"fourier": [4, 1]}), _CHECK, 2,
+                 "fourier form needs {n, j, l} or [n, j, l]",
+                 id="amp-fourier-shape"),
+    pytest.param(_toy(_AMP, {"fourier": [0, 1, 1]}), _CHECK, 2,
+                 "fourier order must be positive, got 0",
+                 id="amp-fourier-order"),
+    pytest.param(_toy(_AMP, {"invsqrt": 0}), _CHECK, 2,
+                 "invsqrt order must be positive, got 0",
+                 id="amp-invsqrt-order"),
+    pytest.param(lambda: [1, 2], _CHECK, 2, "top level must be an object",
+                 id="top-list"),
+    pytest.param(_odd(params=[1]), _CHECK, 2, "params must be an object",
+                 id="bundle-params"),
+    pytest.param(_odd(extra=1), _CHECK, 2,
+                 "unknown top-level keys ['extra']", id="bundle-extra-key"),
+    pytest.param(_odd(claims=[]), _CHECK, 2, "claims must be an object",
+                 id="bundle-claims"),
+    pytest.param(_toy(("input_alphabet",), "01"), _CHECK, 2,
+                 "input_alphabet: expected a list of strings",
+                 id="input-alphabet"),
+    pytest.param(_toy(("bogus",), 1), _CHECK, 2,
+                 "unknown top-level keys ['bogus']", id="verifier-extra-key"),
+    pytest.param(_toy(("name",), ""), _CHECK, 2,
+                 "verifier specs need a non-empty name", id="name"),
+    pytest.param(_toy(("states",), []), _CHECK, 2,
+                 "states must be an object with live/accepting/rejecting/"
+                 "initial", id="states"),
+    pytest.param(_toy(("states", "dead"), []), _CHECK, 2,
+                 "unknown states keys ['dead']", id="states-extra-key"),
+    pytest.param(_toy(("states", "initial"), 3), _CHECK, 2,
+                 "states.initial must be a string", id="states-initial"),
+    pytest.param(_toy(("fill",), []), _CHECK, 2,
+                 "fill must be an object with guards/completion flags",
+                 id="fill"),
+    pytest.param(_toy(("fill",), {"guards": True, "completion": False}),
+                 _CHECK, 2, "fill.guards and fill.completion must match",
+                 id="fill-mismatch"),
+    pytest.param(_toy(("head_dir",), []), _CHECK, 2,
+                 "head_dir must be an object", id="head-dir"),
+    pytest.param(_toy(("head_dir", "up"), {}), _CHECK, 2,
+                 "unknown head_dir keys ['up']", id="head-dir-extra-key"),
+    pytest.param(_toy(("head_dir", "per_state"), []), _CHECK, 2,
+                 "head_dir.per_state must map state -> direction",
+                 id="head-dir-per-state"),
+    pytest.param(_toy(("head_dir", "per_target"), [["qa", "#"]]), _CHECK, 2,
+                 "head_dir.per_target entries are [state, comm, direction] "
+                 "triples", id="head-dir-per-target"),
+    pytest.param(_toy(("head_dir", "per_state"), {"qa": 2}), _CHECK, 2,
+                 "head direction at 'qa' must be -1, 0, or 1, got 2",
+                 id="head-dir-range"),
+    pytest.param(_toy(("rows",), []), _CHECK, 2,
+                 "rows must map tape symbols to row lists", id="rows"),
+    pytest.param(_toy(("rows", "0"), {}), _CHECK, 2,
+                 "rows['0']: expected a list of row objects",
+                 id="rows-symbol"),
+    pytest.param(_toy(_ROW, "row"), _CHECK, 2,
+                 "rows['0'][0]: rows are objects with source/targets/class",
+                 id="row"),
+    pytest.param(_toy(_ROW + ("source",), ["qa"]), _CHECK, 2,
+                 "source must be a [state, comm] pair", id="row-source"),
+    pytest.param(_toy_with_a_repeated_row, _CHECK, 2,
+                 "rows['0'][2]: duplicate source ('qa', '#')",
+                 id="row-duplicate"),
+    pytest.param(_toy(_ROW + ("class",), "magic"), _CHECK, 2,
+                 "unknown row class 'magic'", id="row-class"),
+    pytest.param(_toy(_ROW + ("class",), "guard"), _CHECK, 2,
+                 "explicit guard rows require fill disabled",
+                 id="row-class-under-fill"),
+    pytest.param(_toy(_ROW + ("targets",), []), _CHECK, 2,
+                 "targets must be a non-empty list", id="row-targets"),
+    pytest.param(_toy(_ROW + ("targets", 0), [1.0, "qa"]), _CHECK, 2,
+                 "rows['0'][0].targets[0]: targets are [amplitude, state, "
+                 "comm]", id="row-target"),
+    pytest.param(_toy(("metadata",), []), _CHECK, 2,
+                 "metadata must be an object", id="metadata"),
+    pytest.param(_toy(("honest_prover",), "identity"), _CHECK, 2,
+                 "honest_prover must be an object", id="honest"),
+    pytest.param(_toy(("honest_prover",), {"type": "identity", "writes": {}}),
+                 _CHECK, 2, "identity prover takes no extra keys",
+                 id="honest-identity-keys"),
+    pytest.param(_toy(("honest_prover",), {"type": "schedule", "rounds": {}}),
+                 _CHECK, 2, "schedule prover takes writes and prover_id only",
+                 id="honest-schedule-keys"),
+    pytest.param(_toy(("honest_prover",), {"type": "schedule", "writes": []}),
+                 _CHECK, 2, "schedule writes must map round -> symbol",
+                 id="honest-writes"),
+    pytest.param(_toy(("honest_prover",),
+                      {"type": "schedule", "writes": {"x": "#"}}),
+                 _CHECK, 2, "schedule round 'x' is not an integer",
+                 id="honest-round"),
+    pytest.param(_toy(("honest_prover",),
+                      {"type": "schedule", "writes": {"0": "#"}}),
+                 _CHECK, 2, "schedule writes map rounds >= 1 to symbols",
+                 id="honest-round-zero"),
+    pytest.param(_toy(("honest_prover",),
+                      {"type": "schedule", "writes": {}, "prover_id": 5}),
+                 _CHECK, 2, "prover_id must be a string", id="honest-id"),
+    pytest.param(_toy(("honest_prover",), {"type": "oracle"}), _CHECK, 2,
+                 "unknown honest_prover type 'oracle' (identity or schedule)",
+                 id="honest-type"),
+    pytest.param(_two_way_toy_with_two_faults, _CHECK, 3,
+                 "error: no head direction given for target ('q0', '#')\n",
+                 id="first-row-fault-first"),
+    pytest.param(_odd(claims={"completeness": 0.5}), _CHECK, 3,
+                 "FAIL honest-completeness  honest p_acc 1 on member '10', "
+                 "claimed 0.5", id="check-completeness-fails"),
+    pytest.param(None, ["check", "DIR"], 2, "Is a directory",
+                 id="spec-is-a-directory"),
+    pytest.param(None, ["sweep", "odd"], 3,
+                 "sweep needs --inputs or a --max-len length range",
+                 id="sweep-no-inputs"),
+    pytest.param(None, ["sweep", "odd", "--min-len", "3", "--max-len", "2"],
+                 3, "--min-len exceeds --max-len", id="sweep-lengths"),
+    pytest.param(None, ["sweep", "toy_explicit", "--inputs", "0", "--only",
+                        "members"], 3,
+                 "--only members needs a bundled language predicate",
+                 id="sweep-only-without-language"),
+    pytest.param(None, ["sweep", "center", "--inputs", "0", "--family",
+                        "schedule"], 4,
+                 "state 'seek' has authored rows under 2 comm symbols",
+                 id="sweep-schedule-on-center"),
+    pytest.param(None, ["run", "odd", "--input", "10", "--prover",
+                        "identity"], 0,
+                 "input='10' prover=identity p_acc=[0, 0] p_rej>=1 "
+                 "interactions=- steps=4", id="run-identity"),
+    pytest.param(None, ["trace", "odd", "--input", "1", "--prover",
+                        "identity"], 0, "run on '1' with prover identity\n",
+                 id="trace-identity"),
+])
+def test_cli_refusals_and_untried_options(spec, argv, code, fragment,
+                                          tmp_path, capsys):
+    # spec builds the document written to SPEC; DIR is a directory
+    path = tmp_path / "case.spec"
+    if spec is not None:
+        path.write_text(json.dumps(spec()), encoding="utf-8")
+    argv = [{"SPEC": str(path), "DIR": str(tmp_path)}.get(a, a)
+            for a in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert fragment in out + err
+    assert "Traceback" not in err
