@@ -8,7 +8,8 @@ a loop over its methods:
   with run_mcomp), banks the halting mass and the pruned mass, runs the
   conservation check and appends the step record; it returns whether a
   prover round follows;
-- prover_round(prover) lets the prover act on every live configuration
+- prover_round(prover) lets the prover act on every live configuration:
+  a responder's round relabels the keys, any other prover's round sums
   and prunes;
 - fork() copies the state, so two continuations of one prefix each go
   their own way; forks share the run's tape table.
@@ -33,9 +34,14 @@ SparseVector.add does, so dict order and every float sum stay those of
 SparseVector.  The verifier step then classifies each summed entry by
 the verifier's accepting and rejecting sets, measures the query mass of
 the survivors, prunes them (after the query mass) and keeps the
-survivors' interaction counts, all in one loop; the prover round's loop
-prunes.  run_mcomp calls the kernel with no prune, projects out the
-non-blank comm and then prunes the blank-comm survivors.
+survivors' interaction counts, all in one loop.  A responder's prover
+round is a relabel, bit-identical to summing: each (q, k, g, i) becomes
+(q, k, reply, i') with its amplitude and count copied, since the
+responder's records keep the keys apart and every amplitude has passed
+the verifier step's prune; a respond that merges two keys gets the
+summing round.  Any other prover's round sums its actions and prunes.
+run_mcomp calls the kernel with no prune, projects out the non-blank
+comm and then prunes the blank-comm survivors.
 
 Runs and the schedule DP read the verifier's live move tables (the
 stored core rows, whose lookups return the guard rows the verifier's
@@ -301,26 +307,55 @@ class RunState:
 
     def prover_round(self, prover):
         """Prover round t: one action per distinct (comm, tape id), shared
-        by every configuration that carries that pair.  Amplitudes are
-        summed as in _verifier_step, then one pass keeps the entries with
-        |a| > prune and banks the rest as pruned mass.
+        by every configuration that carries that pair.
+
+        A responder's round is a relabel: (q, k, g, i) becomes (q, k,
+        reply, i') with its amplitude and interaction count unchanged,
+        and nothing is summed or pruned.  That is bit-identical to
+        summing: a responder logs each non-blank observation under the
+        round, so no two configurations meet; every amplitude has passed
+        the verifier step's prune; and a verifier-step survivor holds no
+        -0.0, so 0j + a * 1.0 == a.  A respond that is not injective on
+        the live keys leaves fewer entries, and then the round is summed
+        with the actions already asked for.  Every other prover's
+        amplitudes are summed as in _verifier_step, then one pass keeps
+        the entries with |a| > prune and banks the rest as pruned mass.
         """
         t = self.t
+        live = self.live
         counts = self.counts
         counting = counts is not None
-        responder = acts_as_responder(prover)
         actions = {}
+        if acts_as_responder(prover):
+            moved = SparseVector()
+            moved_counts = {}
+            for key, a in live.items():
+                q, k, g, i = key
+                move = actions.get((g, i))
+                if move is None:
+                    move = actions[g, i] = self._respond(prover, t, g, i)
+                g2, i2 = move
+                key2 = (q, k, g2, i2)
+                moved[key2] = a
+                if counting:
+                    moved_counts[key2] = counts[key]
+            if len(moved) == len(live):
+                self.live = moved
+                if counting:
+                    self.counts = moved_counts
+                return
+            actions = {pair: ((1.0, g2, i2),)
+                       for pair, (g2, i2) in actions.items()}
         nxt = {}
         get = nxt.get
         if counting:
             nxt_counts = {}
             count_get = nxt_counts.get
-        for key, a in self.live.items():
+        for key, a in live.items():
             q, k, g, i = key
             action = actions.get((g, i))
             if action is None:
-                action = actions[g, i] = self._action(
-                    prover, responder, t, g, i)
+                action = actions[g, i] = self._action(prover, t, g, i)
             if counting:
                 base = counts[key]
             for pamp, g2, i2 in action:
@@ -345,20 +380,22 @@ class RunState:
         if counting:
             self.counts = nxt_counts
 
-    def _action(self, prover, responder, t, g, i):
-        """The prover's round-t action on (comm g, tape id i) as
-        [(amp, comm', tape id')], each output tape checked against the
-        truncation.  A responder (a prover acting as
-        HistoryResponder.apply) is asked for its reply and record, and the
-        record is appended by id.
+    def _respond(self, prover, t, g, i):
+        """A responder's round-t move on (comm g, tape id i) as (reply,
+        tape id'): the record it logs is appended by id, after the output
+        tape is checked against the truncation.
+        """
+        reply, record = prover.respond(t, g)
+        if len(self.tapes[i]) + (record is not None) > self.trunc:
+            raise _truncation_error(self.trunc)
+        return reply, i if record is None else self._tape_id(i, record)
+
+    def _action(self, prover, t, g, i):
+        """The round-t action of a prover that is not a responder on
+        (comm g, tape id i), as [(amp, comm', tape id')] from its apply,
+        each output tape checked against the truncation.
         """
         y = self.tapes[i]
-        if responder:
-            reply, record = prover.respond(t, g)
-            if len(y) + (record is not None) > self.trunc:
-                raise _truncation_error(self.trunc)
-            return [(1.0, reply, i if record is None
-                     else self._tape_id(i, record))]
         action = []
         for pamp, g2, y2 in prover.apply(t, g, y):
             if len(y2) > self.trunc:
@@ -436,8 +473,7 @@ def run_protocol(verifier, x, prover=None, cfg=None):
 
 def interaction_count(verifier, x, prover, cfg=None):
     """Largest number of non-blank-comm verifier steps along any live path."""
-    cfg = cfg or EngineConfig()
-    cfg = EngineConfig(**{**cfg.__dict__, "count_interactions": True})
+    cfg = replace(cfg or EngineConfig(), count_interactions=True)
     return run_protocol(verifier, x, prover, cfg).interactions
 
 

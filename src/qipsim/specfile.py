@@ -59,13 +59,17 @@ def _is_bool(value):
 
 def evaluate_amplitude(form, where="amplitude"):
     """Evaluate one amplitude document form to a complex number.  A form
-    whose numbers do not fit a float (a JSON integer such as 10**400) is
-    a ParseError, as is any other malformed form.
+    whose numbers do not fit a float (a JSON integer such as 10**400) or
+    are not finite (1e400, NaN, Infinity, which Python's json reads as
+    floats) is a ParseError, as is any other malformed form.
     """
     try:
-        return _amplitude(form, where)
+        z = _amplitude(form, where)
     except OverflowError:
         _fail(where, "number too large for a float in amplitude form")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        _fail(where, "non-finite number in amplitude form: %r" % (form,))
+    return z
 
 
 def _amplitude(form, where):

@@ -1,6 +1,7 @@
 """Unit tests for verifier tables and the classical automaton runners."""
 
 import itertools
+import re
 from importlib import resources
 
 import numpy as np
@@ -32,7 +33,7 @@ from qipsim.automata import (
     validate_wellformed,
 )
 from qipsim.cli import resolve_spec
-from qipsim.errors import EngineError, ValidationError
+from qipsim.errors import EngineError, LinalgError, ValidationError
 from qipsim.linalg import check_unitary, isometry_defect
 from qipsim.zoo import make_bundle
 from strategies import core_tables
@@ -60,6 +61,25 @@ def tiny_accept_all():
         non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
         initial="q0", two_way=False, core_rows=rows, head_dir={},
     )
+
+
+@pytest.mark.parametrize("first, error, message", [
+    ("q1", ValidationError, "no head direction given for target ('q1', '#')"),
+    ("q0", LinalgError, "non-finite amplitude: inf"),
+])
+def test_complete_verifier_names_the_earlier_rows_fault(first, error,
+                                                         message):
+    # the '^' row targets `first`, and q1 has no head direction; the later
+    # '$' row has an infinite amplitude.  A spec document cannot carry the
+    # second fault: its parse refuses non-finite amplitudes
+    rows = {LEFT_END: {("q0", BLANK): ((1.0, first, BLANK),)},
+            RIGHT_END: {("q0", BLANK): ((float("inf"), "acc", BLANK),)}}
+    with pytest.raises(error, match=re.escape(message)):
+        complete_verifier(
+            name="faults", input_alphabet=("0",), comm_alphabet=(BLANK,),
+            non_halting=("q0", "q1"), accepting=("acc",),
+            rejecting=("rej",), initial="q0", two_way=True, core_rows=rows,
+            head_dir={"q0": 1, "acc": 0, "rej": 0})
 
 
 def test_complete_verifier_produces_wellformed_table():

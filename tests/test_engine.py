@@ -690,6 +690,69 @@ def test_interned_tapes_match_the_tuple_keyed_reference(kwargs, data):
                        for rec in got.step_records for key, _ in rec.live)
 
 
+class BlankLogger(HistoryResponder):
+    """A responder whose respond logs the blank observations too, so
+    every comm symbol appends a record to the tape."""
+
+    def respond(self, round_index, comm):
+        return self.reply(round_index, comm), (round_index, comm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(core_tables(two_way=False, splits=(0.5, 1e-8)), st.data())
+def test_interned_tapes_match_the_reference_on_one_way_tables(kwargs, data):
+    v = complete_verifier(**kwargs)
+    rounds = 3
+    if data.draw(st.booleans()):
+        comm = st.sampled_from(v.comm_alphabet)
+        replies = data.draw(st.dictionaries(
+            st.tuples(st.integers(1, rounds), comm), comm))
+        prover = BlankLogger(lambda t, g: replies.get((t, g), g),
+                             prover_id="blank-logger")
+    else:
+        prover = _draw_prover(data, v, rounds)
+    for x in SHORT_INPUTS:
+        for prune in (0.0, 1e-3):
+            cfg = EngineConfig(prune=prune, count_interactions=True,
+                               record_steps=True)
+            _assert_same_run(run_protocol(v, x, prover, cfg),
+                             _reference_run(v, x, prover, cfg))
+
+
+class Collapser(HistoryResponder):
+    """A responder whose respond is no permutation: it erases the comm
+    cell and logs nothing, so (q, k, m, i) lands on (q, k, blank, i)."""
+
+    def respond(self, round_index, comm):
+        return BLANK, None
+
+
+class SummedCollapser(Collapser):
+    """Collapser with apply overridden, so the engine sums its rounds."""
+
+    def apply(self, round_index, comm, tape):
+        return [(1.0, BLANK, tape)]
+
+
+def test_a_responder_that_merges_configurations_is_summed():
+    # the step on `^` splits q0 into (q1, blank) and (q1, m); the
+    # collapser merges them into amplitude sqrt(2) on (q1, blank)
+    half = 1 / math.sqrt(2)
+    v = complete_verifier(
+        name="merge", input_alphabet=("0",), comm_alphabet=(BLANK, "m"),
+        non_halting=("q0", "q1"), accepting=("acc",), rejecting=("rej",),
+        initial="q0", two_way=False,
+        core_rows={LEFT_END: {("q0", BLANK): ((half, "q1", BLANK),
+                                              (half, "q1", "m"))},
+                   RIGHT_END: {("q1", BLANK): ((1.0, "acc", BLANK),)}},
+        head_dir={})
+    cfg = EngineConfig(count_interactions=True, record_steps=True)
+    got = run_protocol(v, "", Collapser(None), cfg)
+    _assert_same_run(got, run_protocol(v, "", SummedCollapser(None), cfg))
+    _assert_same_run(got, _reference_run(v, "", Collapser(None), cfg))
+    assert got.p_acc == 1.9999999999999996
+
+
 @pytest.mark.parametrize("name,branches,inputs", [
     ("center", 2, ("010", "0110", "00100")),
     ("center", 3, ("010", "1101011")),

@@ -152,6 +152,23 @@ def test_a_number_too_large_for_a_float_is_a_parse_error(form, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ['{"re": 1e400}', '{"im": NaN}',
+                                  "-Infinity"])
+def test_a_non_finite_number_is_a_parse_error(text, tmp_path, capsys):
+    # Python's json reads 1e400 as inf, and NaN and Infinity as floats
+    form = json.loads(text)
+    with pytest.raises(ParseError, match="^here: non-finite number"):
+        evaluate_amplitude(form, "here")
+    doc = _toy_document()
+    doc["rows"]["0"][0]["targets"][0][0] = "AMP"
+    path = tmp_path / "edited.spec"
+    path.write_text(json.dumps(doc).replace('"AMP"', text), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "rows['0'][0].targets[0]: non-finite number" in err
+    assert "Traceback" not in err
+
+
 def _toy_document():
     return json.loads(serialize_spec(resolve_spec("toy_explicit").document))
 
@@ -1005,14 +1022,14 @@ def _toy_with_a_repeated_row():
 
 
 def _two_way_toy_with_two_faults():
-    # the '^' row targets q0, which has no head direction, and the later
-    # '$' row has an infinite amplitude: the earlier row's fault is named
+    # the '^' row targets q0 and the later '$' row targets qz, neither of
+    # which has a head direction: the earlier row's fault is named
     doc = _toy_document()
     doc["two_way"] = True
     doc["head_dir"] = {"per_state": {"qa": 1, "qb": 1, "acc": 0, "rej": 0},
                        "per_target": []}
     doc["rows"]["^"][0]["targets"][0][1] = "q0"
-    doc["rows"]["$"][0]["targets"][0][0] = {"re": math.inf, "im": 0.0}
+    doc["rows"]["$"][0]["targets"][0][1] = "qz"
     return doc
 
 
