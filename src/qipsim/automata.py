@@ -27,8 +27,10 @@ Tables are assembled from three row classes:
 Well-formedness is the unitarity of the step operator on (state, head,
 comm).  Checks derive it from the per-symbol tables (validate_wellformed)
 and build no step operator; build_step_operator is a plain loop over the
-basis, kept as the reference those derivations are tested against.  It
-is the one user of scipy, and the completion's QR the one of numpy.
+basis, kept as the reference those derivations are tested against; it
+returns the (row, column, amplitude) triples that the per-symbol check
+hands to linalg.isometry_defect.  The completion's QR is this module's
+one use of numpy.
 """
 
 import itertools
@@ -664,35 +666,23 @@ def step_basis(verifier, x):
 def build_step_operator(verifier, x):
     """The verifier-step unitary on (state, head, comm) for input x.
 
-    Returns (matrix, basis) with the matrix in CSR form and the basis in
-    step_basis order.  Reads the full tables, so a completable verifier
-    is completed first.  Raises the move table's ValidationError at the
-    first basis label whose row is missing.
+    Returns (entries, basis): the basis in step_basis order, and the
+    matrix as (row, column, amplitude) triples over that basis, the form
+    linalg.isometry_defect reads.  One loop over the basis labels gives
+    one column each, entering each row's targets in row order; a target
+    listed twice stays two triples, which isometry_defect sums in that
+    order.  Reads the full tables, so a completable verifier is completed
+    first.  Raises the move table's ValidationError at the first basis
+    label whose row is missing.
     """
     tape = padded_input(x, verifier.input_alphabet)
-    return _step_matrix(verifier, tape), step_basis(verifier, x)
-
-
-def _step_matrix(verifier, tape):
-    """build_step_operator's matrix for a padded tape, without the basis:
-    one loop over the basis labels, one column each, entering each row's
-    targets in row order (a target listed twice is summed in that order).
-    """
-    import scipy.sparse
     length = len(tape)
-    basis = list(itertools.product(verifier.states, range(length),
-                                   verifier.comm_alphabet))
+    basis = step_basis(verifier, x)
     index = {label: i for i, label in enumerate(basis)}
-    data, rows_ix, cols_ix = [], [], []
-    for col, (q, k, g) in enumerate(basis):
-        for amp, q2, g2, d in verifier.moves[tape[k]][q, g]:
-            data.append(amp)
-            rows_ix.append(index[q2, (k + d) % length, g2])
-            cols_ix.append(col)
-    return scipy.sparse.csr_matrix(
-        (data, (rows_ix, cols_ix)), shape=(len(basis), len(basis)),
-        dtype=complex,
-    )
+    entries = [(index[q2, (k + d) % length, g2], col, amp)
+               for col, (q, k, g) in enumerate(basis)
+               for amp, q2, g2, d in verifier.moves[tape[k]][q, g]]
+    return entries, basis
 
 
 @dataclass
@@ -729,7 +719,9 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
 
     `inputs` optionally lists strings whose step-operator defects are
     reported as well; they are derived, not built, and never exceed the
-    worst per-symbol defect, so `qipsim check` lists none.  Head
+    worst per-symbol defect, so `qipsim check` lists none.  The tests
+    hold each derived defect equal to isometry_defect of
+    build_step_operator's entries.  Head
     movement is a function of the target pair, so the step operator is a
     permutation times a block diagonal of the per-symbol tables of the
     tape's cells.

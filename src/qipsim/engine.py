@@ -804,8 +804,14 @@ class FamilySweep:
 
 
 def sweep_family(verifier, x, provers, cfg=None):
-    """Run each prover in the family; report the worst-case acceptance."""
+    """Run each prover in the family; report the worst-case acceptance.
+
+    Raises EngineError for an empty family, which has no worst case.
+    """
     cfg = cfg or EngineConfig()
+    provers = list(provers)
+    if not provers:
+        raise EngineError("empty prover family: no run gives a worst case")
     rows = []
     best_upper = 0.0
     for prover in provers:

@@ -1,7 +1,9 @@
 """Small complex linear-algebra helpers used by the simulation engine.
 
-The isometry check is plain Python.  numpy is imported only by the
-Fourier amplitudes and for a dense matrix; scipy never is.
+The isometry check is plain Python and reads one matrix format: the
+(row, column, value) triples of isometry_defect.  check_isometry and
+check_unitary hand it the nonzero entries of a dense matrix.  numpy is
+imported only by the Fourier amplitudes and for a dense matrix.
 """
 
 import math
@@ -60,7 +62,7 @@ def check_unitary(matrix, tau=1e-9):
     """Return (ok, defect) where defect = max |(U* U - I)_ij|.
 
     check_isometry's result for a square matrix.  Raises LinalgError when
-    the input is not a square matrix.
+    the input is not a square numeric matrix.
     """
     shape, entries = _entries(matrix)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -74,11 +76,9 @@ def check_isometry(matrix, tau=1e-9):
     """Return (ok, defect) where defect = max |(U* U - I)_ij| for an m x n
     matrix U: how far its columns are from orthonormal.
 
-    The matrix is a scipy sparse matrix, read through its tocoo(), or
-    anything numpy reads as a 2-D complex array, read by its nonzero
-    entries; both hand those entries to isometry_defect.  ok is
-    defect <= tau.  Raises LinalgError when the input is not a 2-D
-    matrix.
+    The matrix is anything numpy reads as a 2-D complex array; its
+    nonzero entries go to isometry_defect.  ok is defect <= tau.  Raises
+    LinalgError when the input is not a 2-D numeric matrix.
     """
     shape, entries = _entries(matrix)
     if len(shape) != 2:
@@ -89,11 +89,11 @@ def check_isometry(matrix, tau=1e-9):
 
 
 def _entries(matrix):
-    if hasattr(matrix, "tocoo"):  # scipy sparse, read without importing scipy
-        u = matrix.tocoo()
-        return u.shape, zip(u.row.tolist(), u.col.tolist(), u.data.tolist())
     import numpy as np
-    u = np.asarray(matrix, dtype=complex)
+    try:
+        u = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise LinalgError("not a 2-D numeric matrix: %s" % exc) from None
     index = u.nonzero()
     return u.shape, zip(*(i.tolist() for i in index), u[index].tolist())
 

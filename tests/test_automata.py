@@ -4,9 +4,7 @@ import itertools
 import re
 from importlib import resources
 
-import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +32,7 @@ from qipsim.automata import (
 )
 from qipsim.cli import resolve_spec
 from qipsim.errors import EngineError, LinalgError, ValidationError
-from qipsim.linalg import check_unitary, isometry_defect
+from qipsim.linalg import isometry_defect
 from qipsim.zoo import make_bundle
 from strategies import core_tables
 
@@ -101,14 +99,18 @@ def test_complete_verifier_row_classes():
                 assert v.is_rejecting(targets[0][1])
 
 
+def _built_defect(verifier, x):
+    """isometry_defect of the step operator build_step_operator builds."""
+    entries, basis = build_step_operator(verifier, x)
+    return isometry_defect(entries, len(basis))
+
+
 def test_step_operator_is_unitary_dense():
     v = tiny_accept_all()
-    mat, labels = build_step_operator(v, "01")
-    mat = mat.toarray()
-    assert len(labels) == mat.shape[0]
-    ok, defect = check_unitary(mat)
-    assert ok
-    assert defect <= 1e-12
+    entries, labels = build_step_operator(v, "01")
+    assert all(0 <= row < len(labels) and 0 <= col < len(labels)
+               for row, col, _amp in entries)
+    assert _built_defect(v, "01") <= 1e-12
 
 
 def test_verifier_spec_structure_errors():
@@ -160,7 +162,7 @@ def test_wellformed_missing_row_reports_infinite_defect(monkeypatch):
     # an input whose tape scans an incomplete table is inf as well, and
     # its step operator is not built
     built = []
-    monkeypatch.setattr(automata, "_step_matrix",
+    monkeypatch.setattr(automata, "build_step_operator",
                         lambda *args: built.append(args))
     report = validate_wellformed(v, inputs=["", "0"])
     assert report.per_input == {"": float("inf"), "0": float("inf")}
@@ -333,7 +335,7 @@ def test_derived_step_defects_match_built_step_operators(kwargs, data):
     for sym in v.padded_alphabet:
         assert (live.per_symbol[sym] <= tau) == (full.per_symbol[sym] <= tau)
     for x in inputs:
-        built = check_unitary(build_step_operator(v, x)[0])[1]
+        built = _built_defect(v, x)
         # the derivation is exact on the full table; the live columns
         # leave out the completion columns and their own rounding
         assert full.per_input[x] == built
@@ -356,8 +358,7 @@ def test_shipped_derived_step_defects_equal_built_step_operators(token):
     full = validate_wellformed(_plain_copy(v))
     assert report.ok == full.ok
     for x in inputs:
-        assert report.per_input[x] == check_unitary(
-            build_step_operator(v, x)[0])[1]
+        assert report.per_input[x] == _built_defect(v, x)
 
 
 def test_live_column_check_needs_the_rows_completion_cannot_supply():
@@ -488,31 +489,19 @@ def test_verifier_spec_refuses_malformed_structure(change, message):
 
 
 def _reference_step_operator(verifier, x):
-    """(matrix, basis) built by a loop over the basis, one row lookup per
+    """(entries, basis) built by a loop over the basis, one row lookup per
     (state, head, comm) label: the reference for build_step_operator.
     """
     tape = padded_input(x, verifier.input_alphabet)
     basis = [(q, k, g) for q in verifier.states for k in range(len(tape))
              for g in verifier.comm_alphabet]
     index = {lab: i for i, lab in enumerate(basis)}
-    data, rows_ix, cols_ix = [], [], []
+    entries = []
     for (q, k, g) in basis:
         for amp, q2, g2, d in verifier.moves[tape[k]][q, g]:
-            rows_ix.append(index[(q2, (k + d) % len(tape), g2)])
-            cols_ix.append(index[(q, k, g)])
-            data.append(complex(amp))
-    mat = scipy.sparse.csr_matrix(
-        (data, (rows_ix, cols_ix)), shape=(len(basis), len(basis)),
-        dtype=complex,
-    )
-    return mat, basis
-
-
-def _same_csr(a, b):
-    return (a.shape == b.shape
-            and all(np.array_equal(getattr(a, name), getattr(b, name))
-                    and getattr(a, name).dtype == getattr(b, name).dtype
-                    for name in ("indptr", "indices", "data")))
+            entries.append((index[(q2, (k + d) % len(tape), g2)],
+                            index[(q, k, g)], complex(amp)))
+    return entries, basis
 
 
 @settings(max_examples=60, deadline=None)
@@ -522,10 +511,7 @@ def test_tiled_step_operator_matches_the_basis_loop(kwargs, data):
     inputs = ["".join(w) for n in range(3)
               for w in itertools.product("01", repeat=n)]
     for x in inputs:
-        mat, basis = build_step_operator(v, x)
-        want, want_basis = _reference_step_operator(v, x)
-        assert basis == want_basis
-        assert _same_csr(mat, want)
+        assert build_step_operator(v, x) == _reference_step_operator(v, x)
     # one row deleted: both builds refuse with the same missing row
     sym = data.draw(st.sampled_from(v.padded_alphabet))
     key = data.draw(st.sampled_from(sorted(v.rows[sym])))
@@ -539,8 +525,8 @@ def test_tiled_step_operator_matches_the_basis_loop(kwargs, data):
     )
     for x in inputs:
         if sym not in padded_input(x):
-            assert _same_csr(build_step_operator(gappy, x)[0],
-                             _reference_step_operator(gappy, x)[0])
+            assert (build_step_operator(gappy, x)
+                    == _reference_step_operator(gappy, x))
             continue
         with pytest.raises(ValidationError) as want:
             _reference_step_operator(gappy, x)
@@ -556,10 +542,8 @@ def test_shipped_step_operators_equal_the_basis_loop(token):
     v = resolve_spec(token).make().verifier
     for n in range(3):
         for w in itertools.product(v.input_alphabet, repeat=n):
-            mat, basis = build_step_operator(v, "".join(w))
-            want, want_basis = _reference_step_operator(v, "".join(w))
-            assert basis == want_basis
-            assert _same_csr(mat, want)
+            assert (build_step_operator(v, "".join(w))
+                    == _reference_step_operator(v, "".join(w)))
 
 
 @pytest.mark.parametrize("token", SHIPPED)

@@ -203,8 +203,10 @@ def test_engine_steps_follow_the_step_operator(kwargs):
     v = complete_verifier(**kwargs)
     cfg = EngineConfig(prune=0.0, record_steps=True, max_steps=6)
     for x in SHORT_INPUTS:
-        mat, basis = build_step_operator(v, x)
-        mat = mat.toarray()
+        entries, basis = build_step_operator(v, x)
+        mat = np.zeros((len(basis), len(basis)), dtype=complex)
+        for row, col, amp in entries:
+            mat[row, col] += amp
         index = {label: i for i, label in enumerate(basis)}
         accepting = np.array([v.is_accepting(q) for q, _, _ in basis])
         halting = np.array([v.is_halting(q) for q, _, _ in basis])
@@ -441,6 +443,14 @@ def test_sweep_family_reports_worst_case():
         assert isinstance(result.prover_id, str)
         assert 0.0 <= lo <= hi <= 1.0
         assert result.interactions is not None
+
+
+def test_sweep_family_refuses_an_empty_family():
+    # an empty family has no worst case and no witness run
+    center = make_bundle("center", {"branches": 2})
+    for empty in ([], iter(())):
+        with pytest.raises(EngineError, match="empty prover family"):
+            sweep_family(center.verifier, "100", empty)
 
 
 def test_halt_mass_target_stops_two_way_runs_early(blocks):

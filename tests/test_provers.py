@@ -12,7 +12,7 @@ from qipsim import provers
 from qipsim.automata import BLANK, LEFT_END, complete_verifier
 from qipsim.cli import instantiate, main, resolve_spec
 from qipsim.engine import EngineConfig, resolve_max_steps, run_protocol
-from qipsim.errors import BudgetError, ValidationError
+from qipsim.errors import BudgetError, LinalgError, ValidationError
 from qipsim.provers import (
     ExplicitRoundProver,
     HistoryResponder,
@@ -117,6 +117,8 @@ def test_explicit_prover_validates_unitarity():
     with pytest.raises(ValidationError):
         ExplicitRoundProver({1: ([(BLANK, ()), (BLANK, ())],
                                  [[1, 0], [0, 1]])})
+    with pytest.raises(LinalgError, match="not a 2-D numeric matrix"):
+        ExplicitRoundProver({1: (basis, [[1, 0], [0]])})
 
 
 @pytest.mark.parametrize("pairs, size", [(1, 2), (2, 1)])

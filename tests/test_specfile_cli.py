@@ -1,6 +1,7 @@
 """Unit tests for the spec-file format and the command-line interface."""
 
 import argparse
+import ast
 import csv
 import io
 import json
@@ -507,13 +508,29 @@ def test_cli_check_interaction_bound_names_an_input(tmp_path, capsys):
             "(input ''), claimed <= 0") in capsys.readouterr().out.splitlines()
 
 
+# Runs a code snippet in a fresh interpreter where importing scipy fails,
+# then prints which of numpy and scipy the snippet loaded.
 IMPORT_PROBE = """
 import sys
+sys.modules["scipy"] = None  # any import of scipy raises ImportError
+%s
+print(sorted({m.split(".")[0] for m, module in sys.modules.items() if module}
+             & {"numpy", "scipy"}))
+"""
+
+COMMANDS = """
 from qipsim.cli import main
 for argv in %r:
     assert main(argv) == 0, argv
-print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
 """
+
+
+def _probe(code):
+    src = Path(automata.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE % code],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("commands, loaded", [
@@ -524,11 +541,49 @@ print(sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"}))
     ([["check", "center"]], ["numpy"]),
 ])
 def test_commands_import_numpy_only_for_fourier_amplitudes(commands, loaded):
-    src = Path(automata.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE % (commands,)],
-                          env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == repr(loaded)
+    assert _probe(COMMANDS % (commands,)) == repr(loaded)
+
+
+FULL_TABLES = """
+from qipsim.automata import build_step_operator
+from qipsim.cli import resolve_spec
+from qipsim.linalg import isometry_defect
+from qipsim.specfile import verifier_document
+for token in %r:
+    verifier = resolve_spec(token).make().verifier
+    alphabet = verifier.input_alphabet
+    for x in ("", alphabet[0] + alphabet[-1]):
+        entries, basis = build_step_operator(verifier, x)
+        assert isometry_defect(entries, len(basis)) <= 1e-9, (token, x)
+    verifier_document(verifier)
+"""
+
+
+def test_the_full_tables_need_no_scipy():
+    # the step-operator oracle, its isometry check and the export all
+    # read the full (completed) tables; the completion's QR takes numpy
+    assert _probe(FULL_TABLES % (SHIPPED,)) == repr(["numpy"])
+
+
+def _distribution(requirement):
+    return re.match(r"[A-Za-z0-9_.-]+", requirement).group(0).lower()
+
+
+def test_runtime_dependencies_are_what_the_package_imports():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (root / "src" / "qipsim").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names) | {"qipsim"}
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    project = tomllib.loads(pyproject)["project"]
+    assert sorted(map(_distribution, project["dependencies"])) == sorted(
+        imported)
 
 
 def test_cli_unwritable_out_is_an_error_line(tmp_path, capsys):
@@ -752,7 +807,7 @@ def test_cli_check_runs_the_per_symbol_check_once(token, monkeypatch, capsys):
     verifier = resolve_spec(token).make().verifier
     n_pairs = len(verifier.states) * len(verifier.comm_alphabet)
     calls = _count_calls(monkeypatch, automata, "isometry_defect")
-    operators = _count_calls(monkeypatch, automata, "_step_matrix")
+    operators = _count_calls(monkeypatch, automata, "build_step_operator")
     assert main(["check", token]) == 0
     # one live-column check per padded symbol, no step operator built
     assert len(calls) == len(verifier.padded_alphabet)
