@@ -19,10 +19,14 @@ Tables are assembled from three row classes:
 - completion rows: a generic unitary completion on the remaining columns
   (halting-state sources), which the dynamics never reach because halting
   amplitude is measured out before the next step (measure-many
-  semantics).  They are built on first use, by a reader of the full
-  table (the step operator, the export), and kept; runs, sweeps and
-  checks read only the live tables: the stored core rows, and the guard
-  rows their lookups imply.
+  semantics).
+
+A verifier's tables (rows, row_class, head_dir, live_moves) hold the
+rows it was given: the core rows, whose move-table lookups imply the
+guard rows.  Runs, sweeps and checks read only these.  The guard and
+completion rows are stored only in VerifierSpec.completed, a plain
+verifier built on first read and kept; the step operator and the export
+are its only readers.
 
 Well-formedness is the unitarity of the step operator on (state, head,
 comm).  Checks derive it from the per-symbol tables (validate_wellformed)
@@ -36,7 +40,6 @@ one use of numpy.
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import EngineError, ValidationError
 from .linalg import as_integer, ensure_finite, isometry_defect
@@ -92,50 +95,40 @@ class MoveTable(dict):
         return ((1.0, guard, g, self.direction),)
 
 
-class _Tables(NamedTuple):
-    """A verifier's full tables, as VerifierSpec's attributes of these names."""
-
-    rows: dict
-    row_class: dict
-    head_dir: dict
-    moves: dict
-
-
 class VerifierSpec:
     """Unitary verifier description.
 
     rows: {symbol: {(state, comm): ((amp, state', comm'), ...)}}
     head_dir: {(state', comm'): direction}
-    row_class: {symbol: {(state, comm): "core"|"guard"|"completion"}}
-    moves: {padded symbol: MoveTable}, the rows with each target's head
-    direction attached; the step operator reads these.
+    row_class: {symbol: {(state, comm): "core"|"guard"|"completion"}}; a
+    row with no class is core.
+    live_moves: {padded symbol: MoveTable}, the rows with each target's
+    head direction attached.
     pair_index: {(state, comm): index} in states x comm_alphabet order.
     accepting_set, rejecting_set, halting_set: frozensets of the halting
     states, which the engine's step kernel tests membership in.
 
-    Those four tables, and row() and class_of(), show the full table.  A
-    completable verifier (complete_verifier's) is given its core rows
-    and guards, {live state: guard state}: each missing row (q, g) of a
-    guarded q is the guard row (q, g) -> (guards[q], g), with head
-    direction 0 when two-way and +1 when one-way.  Its guard rows come
-    first in the full tables, then its completion rows; both, with their
-    directions and moves, are built on the first read of a full table.
-    A plain VerifierSpec (guards None), built from explicit rows, is not
-    completable: its full tables are the rows it was given, and a
-    missing row stays missing.
-
-    live_moves are the move tables of the rows the verifier was given,
-    whose lookups return the guard rows the guards imply, and
-    live_rows() iterates the given rows.  Runs, sweeps, checks and the
-    analyses below read only these, so they never complete a table:
+    Those tables hold the rows the verifier was given, and live_rows()
+    iterates them.  A completable verifier (complete_verifier's) is given
+    its core rows and guards, {live state: guard state}: each missing row
+    (q, g) of a guarded q is the guard row (q, g) -> (guards[q], g), with
+    head direction 0 when two-way and +1 when one-way, and live_moves'
+    lookups return it.  A plain VerifierSpec (guards None), built from
+    explicit rows, is not completable: a missing row stays missing.
+    Runs, sweeps, checks and the analyses below read only these tables:
     every row a run reads has a live source, since halting amplitude is
     measured out in the step that reaches it.
 
+    completed is the completed verifier: a plain verifier itself, else a
+    plain VerifierSpec holding the given rows, then the guard rows, then
+    completion rows on every column those leave free.  Only the step
+    operator and the export read it.
+
     Facts that no input changes are cached properties, computed on
-    first read and kept: _full (the full tables), per_symbol_defects,
-    announcement and branching.  The live tables are built once in
-    __init__ and never mutated, and completion builds new tables beside
-    them, so every kept fact stays valid.
+    first read and kept: completed, per_symbol_defects, announcement
+    and branching.  The tables are built once in __init__ and never
+    mutated, and completion builds a new verifier beside them, so every
+    kept fact stays valid.
     """
 
     def __init__(self, name, input_alphabet, comm_alphabet, non_halting,
@@ -150,11 +143,11 @@ class VerifierSpec:
         self.initial = initial
         self.two_way = bool(two_way)
         self.guards = None if guards is None else dict(guards)
-        self._rows = {
+        self.rows = {
             sym: dict(table) for sym, table in rows.items()
         }
-        self._head_dir = dict(head_dir)
-        self._row_class = {
+        self.head_dir = dict(head_dir)
+        self.row_class = {
             sym: dict(table) for sym, table in (row_class or {}).items()
         }
         self.metadata = dict(metadata or {})
@@ -163,34 +156,28 @@ class VerifierSpec:
             pair: i for i, pair in enumerate(
                 (q, g) for q in self.states for g in self.comm_alphabet)
         }
-        self.live_moves = self._move_tables(self._rows, self._head_dir,
-                                            self.guards)
-
-    def _move_tables(self, rows, head_dir, guards):
-        return {
+        self.live_moves = {
             sym: MoveTable(sym, {
-                key: tuple([(amp, q2, g2, head_dir[q2, g2])
+                key: tuple([(amp, q2, g2, self.head_dir[q2, g2])
                             for amp, q2, g2 in targets])
-                for key, targets in rows.get(sym, {}).items()
-            }, guards, self.comm_alphabet, 0 if self.two_way else 1)
+                for key, targets in self.rows.get(sym, {}).items()
+            }, self.guards, self.comm_alphabet, 0 if self.two_way else 1)
             for sym in self.padded_alphabet
         }
 
-    # -- full tables -----------------------------------------------------
-
     @cached_property
-    def _full(self):
-        """The full tables: a plain verifier's given rows, or the given
-        rows plus the guard rows the guards imply, then completion rows
-        on every column those leave free, symbol by symbol."""
+    def completed(self):
+        """The completed verifier: self when plain, else a plain
+        VerifierSpec of the given rows plus the guard rows the guards
+        imply, then completion rows on every column those leave free,
+        symbol by symbol."""
         if self.guards is None:
-            return _Tables(self._rows, self._row_class, self._head_dir,
-                           self.live_moves)
+            return self
         padded = self.padded_alphabet
-        rows = {sym: dict(self._rows.get(sym, {})) for sym in padded}
-        row_class = {sym: dict(self._row_class.get(sym, {}))
+        rows = {sym: dict(self.rows.get(sym, {})) for sym in padded}
+        row_class = {sym: dict(self.row_class.get(sym, {}))
                      for sym in padded}
-        head_dir = dict(self._head_dir)
+        head_dir = dict(self.head_dir)
         guard_dir = 0 if self.two_way else 1
         for q, guard in self.guards.items():
             for g in self.comm_alphabet:
@@ -202,24 +189,12 @@ class VerifierSpec:
         for sym in padded:
             _complete_symbol(rows[sym], row_class[sym], self.states,
                              self.comm_alphabet, head_dir, self.two_way)
-        return _Tables(rows, row_class, head_dir,
-                       self._move_tables(rows, head_dir, None))
-
-    @property
-    def rows(self):
-        return self._full.rows
-
-    @property
-    def row_class(self):
-        return self._full.row_class
-
-    @property
-    def head_dir(self):
-        return self._full.head_dir
-
-    @property
-    def moves(self):
-        return self._full.moves
+        return VerifierSpec(
+            name=self.name, input_alphabet=self.input_alphabet,
+            comm_alphabet=self.comm_alphabet, non_halting=self.non_halting,
+            accepting=self.accepting, rejecting=self.rejecting,
+            initial=self.initial, two_way=self.two_way, rows=rows,
+            head_dir=head_dir, row_class=row_class, metadata=self.metadata)
 
     # -- analyses of the live tables -------------------------------------
 
@@ -308,31 +283,14 @@ class VerifierSpec:
     def is_rejecting(self, state):
         return state in self.rejecting_set
 
-    def row(self, symbol, state, comm):
-        table = self.rows.get(symbol)
-        if table is None:
-            return None
-        return table.get((state, comm))
-
-    def class_of(self, symbol, state, comm):
-        return self.row_class.get(symbol, {}).get((state, comm), CORE)
-
     def live_rows(self):
         """Iterate (symbol, (state, comm), targets, class) over the rows
         the verifier was given, table by table in the order they were
         given; the guard rows its guards imply are not among them."""
-        for sym, table in self._rows.items():
-            classes = self._row_class.get(sym, {})
+        for sym, table in self.rows.items():
+            classes = self.row_class.get(sym, {})
             for key, targets in table.items():
                 yield sym, key, targets, classes.get(key, CORE)
-
-    def core_rows(self):
-        """Iterate (symbol, (state, comm), targets) over authored rows."""
-        for sym in sorted(self._rows):
-            classes = self._row_class.get(sym, {})
-            for key in sorted(self._rows[sym]):
-                if classes.get(key, CORE) == CORE:
-                    yield sym, key, self._rows[sym][key]
 
     def _validate_structure(self):
         seen = set()
@@ -352,6 +310,12 @@ class VerifierSpec:
             raise ValidationError("comm alphabet must contain the blank %r" % BLANK)
         if len(set(self.comm_alphabet)) != len(self.comm_alphabet):
             raise ValidationError("duplicate comm symbols")
+        for sym in self.input_alphabet:
+            if not isinstance(sym, str) or len(sym) != 1:
+                raise ValidationError(
+                    "input symbol %r is not a single character" % (sym,))
+        if len(set(self.input_alphabet)) != len(self.input_alphabet):
+            raise ValidationError("duplicate input symbols")
         for sym in (LEFT_END, RIGHT_END):
             if sym in self.input_alphabet:
                 raise ValidationError(
@@ -360,7 +324,7 @@ class VerifierSpec:
         comm_set = set(self.comm_alphabet)
         padded = set(self.padded_alphabet)
         targeted = set()
-        for sym, table in self._rows.items():
+        for sym, table in self.rows.items():
             if sym not in padded:
                 raise ValidationError("transition table for unknown symbol %r" % sym)
             for (q, g), targets in table.items():
@@ -376,7 +340,7 @@ class VerifierSpec:
                             "transition target (%r, %r) references unknown ids"
                             % (q2, g2)
                         )
-                    if (q2, g2) not in self._head_dir:
+                    if (q2, g2) not in self.head_dir:
                         raise ValidationError(
                             "no head direction for target (%r, %r)" % (q2, g2)
                         )
@@ -389,7 +353,7 @@ class VerifierSpec:
                     "{\"per_cell\": a, \"base\": b} with integers a, b >= 0, "
                     "not both 0; got %r" % (hint,)
                 )
-        for pair, d in self._head_dir.items():
+        for pair, d in self.head_dir.items():
             if self.two_way:
                 if d not in (-1, 0, 1):
                     raise ValidationError(
@@ -449,7 +413,7 @@ def public_symbol(verifier, state, comm_written=None):
     """
     if not verifier.two_way:
         return state
-    d = verifier._head_dir.get((state, comm_written))
+    d = verifier.head_dir.get((state, comm_written))
     if d is None:
         raise ValidationError(
             "no head direction recorded for (%r, %r)" % (state, comm_written)
@@ -514,12 +478,13 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
     guard row (q, g) -> (rej~q, g).  Guard targets of one state differ
     in g and those of different states differ in state, so each
     per-symbol table stays injective on them.  No guard row is stored:
-    the live tables hold the core rows only.  The returned verifier is
-    completable: its full tables, built on first read, hold the guard
-    rows and a generic unitary completion of the remaining
-    (halting-source) columns (identity-preferring, then orthonormal
-    complements of partially used target blocks).  The per-symbol check
-    of the live columns is made before returning.
+    the verifier's rows are the core rows, with no row_class (each row
+    reads as core).  The returned verifier is completable: its
+    completed verifier, built on first read, holds the guard rows and a
+    generic unitary completion of the remaining (halting-source) columns
+    (identity-preferring, then orthonormal complements of partially used
+    target blocks).  The per-symbol check of the live columns is made
+    before returning.
     """
     comm_alphabet = tuple(comm_alphabet)
     non_halting = tuple(non_halting)
@@ -541,7 +506,6 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
                 yield rows[sym][key]
 
     resolved_dir = target_dirs(normalized(), head_dir, two_way)
-    row_class = {sym: dict.fromkeys(rows[sym], CORE) for sym in padded}
 
     # one fresh rejecting guard state per live state with a hole
     guards = {}
@@ -561,7 +525,7 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
         name=name, input_alphabet=input_alphabet, comm_alphabet=comm_alphabet,
         non_halting=non_halting, accepting=accepting, rejecting=rejecting,
         initial=initial, two_way=two_way, rows=rows, head_dir=resolved_dir,
-        row_class=row_class, metadata=meta, guards=guards,
+        metadata=meta, guards=guards,
     )
     report = validate_wellformed(spec, tau=tau)
     if not report.ok:
@@ -671,17 +635,18 @@ def build_step_operator(verifier, x):
     linalg.isometry_defect reads.  One loop over the basis labels gives
     one column each, entering each row's targets in row order; a target
     listed twice stays two triples, which isometry_defect sums in that
-    order.  Reads the full tables, so a completable verifier is completed
-    first.  Raises the move table's ValidationError at the first basis
-    label whose row is missing.
+    order.  Reads the completed verifier's moves, so a completable
+    verifier is completed first.  Raises the move table's ValidationError
+    at the first basis label whose row is missing.
     """
+    moves = verifier.completed.live_moves
     tape = padded_input(x, verifier.input_alphabet)
     length = len(tape)
     basis = step_basis(verifier, x)
     index = {label: i for i, label in enumerate(basis)}
     entries = [(index[q2, (k + d) % length, g2], col, amp)
                for col, (q, k, g) in enumerate(basis)
-               for amp, q2, g2, d in verifier.moves[tape[k]][q, g]]
+               for amp, q2, g2, d in moves[tape[k]][q, g]]
     return entries, basis
 
 

@@ -90,7 +90,6 @@ class EngineConfig:
     prune: float = 1e-12
     max_steps: int = None
     tape_trunc: int = None
-    halt_mass_target: float = None
     record_steps: bool = False
     check_conservation: bool = False
     count_interactions: bool = False
@@ -243,10 +242,7 @@ class RunState:
         self.max_steps = resolve_max_steps(verifier, x, cfg)
         self.trunc = (cfg.tape_trunc if cfg.tape_trunc is not None
                       else self.max_steps + 2)
-        self.halt_target = (
-            cfg.halt_mass_target if cfg.halt_mass_target is not None
-            else 1.0 - 0.5 * cfg.tau
-        )
+        self.halt_target = 1.0 - 0.5 * cfg.tau
         # the tape table, shared by every fork: configurations carry the
         # id i of their tape tapes[i], and tape_ids maps (parent id, new
         # record) to the id of the parent's tape extended by that record

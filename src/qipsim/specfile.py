@@ -546,16 +546,18 @@ def _make_from_verifier_document(document):
 def verifier_document(verifier, honest_prover=None, claims=None):
     """Lossless explicit document for a VerifierSpec.
 
-    Emits every row of the full table (guards and completion included,
-    completing the table if it is not yet complete) with fill disabled,
-    so parsing rebuilds the identical table.
+    Emits every row of the completed verifier (guards and completion
+    included) with fill disabled, so parsing rebuilds the identical
+    table.
     """
+    full = verifier.completed
     rows = {}
     for sym in verifier.padded_alphabet:
         entries = []
-        table = verifier.rows.get(sym, {})
+        table = full.rows.get(sym, {})
+        classes = full.row_class.get(sym, {})
         for key in sorted(table):
-            cls = verifier.class_of(sym, *key)
+            cls = classes.get(key, CORE)
             entry = {
                 "source": list(key),
                 "targets": [
@@ -569,7 +571,7 @@ def verifier_document(verifier, honest_prover=None, claims=None):
         rows[sym] = entries
     per_target = [
         [state, comm, int(d)]
-        for (state, comm), d in sorted(verifier.head_dir.items())
+        for (state, comm), d in sorted(full.head_dir.items())
     ]
     raw = {
         "format": FORMAT, "kind": "verifier", "name": verifier.name,

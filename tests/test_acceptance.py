@@ -20,7 +20,6 @@ from qipsim.automata import (
 from qipsim.engine import (
     EngineConfig,
     best_schedule_acceptance,
-    interaction_count,
     query_weight,
     resolve_max_steps,
     run_protocol,

@@ -87,14 +87,19 @@ def test_complete_verifier_produces_wellformed_table():
     assert report.worst <= 1e-12
 
 
+def _class_of(verifier, sym, key):
+    """The class of verifier's row key on sym; a row with no class is core."""
+    return verifier.row_class.get(sym, {}).get(key, CORE)
+
+
 def test_complete_verifier_row_classes():
     v = tiny_accept_all()
-    assert v.class_of("0", "q0", BLANK) == CORE
-    core = list(v.core_rows())
-    assert len(core) == 4
-    for sym, table in v.rows.items():
+    full = v.completed
+    assert _class_of(full, "0", ("q0", BLANK)) == CORE
+    assert [cls for *_, cls in v.live_rows()] == [CORE] * 4
+    for sym, table in full.rows.items():
         for (q, g), targets in table.items():
-            if v.class_of(sym, q, g) == GUARD:
+            if _class_of(full, sym, (q, g)) == GUARD:
                 assert len(targets) == 1
                 assert v.is_rejecting(targets[0][1])
 
@@ -181,9 +186,10 @@ def test_move_tables_attach_head_directions():
         initial="q0", two_way=True, core_rows=rows,
         head_dir={"q0": -1, "acc": 0, "rej": 0},
     )
-    assert set(v.moves) == set(v.padded_alphabet)
-    assert v.moves["0"]["q0", BLANK] == ((1.0, "q0", BLANK, -1),)
-    assert v.moves[RIGHT_END]["q0", BLANK] == ((1.0, "acc", BLANK, 0),)
+    moves = v.completed.live_moves
+    assert set(moves) == set(v.padded_alphabet)
+    assert moves["0"]["q0", BLANK] == ((1.0, "q0", BLANK, -1),)
+    assert moves[RIGHT_END]["q0", BLANK] == ((1.0, "acc", BLANK, 0),)
     gappy = VerifierSpec(
         name="gappy", input_alphabet=("0",), comm_alphabet=(BLANK,),
         non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
@@ -191,7 +197,7 @@ def test_move_tables_attach_head_directions():
     )
     with pytest.raises(ValidationError, match=(
             r"incomplete table: no row for \('q0', '#'\) on '0'")):
-        gappy.moves["0"]["q0", BLANK]
+        gappy.completed.live_moves["0"]["q0", BLANK]
 
 
 def test_public_symbol_format():
@@ -221,11 +227,13 @@ def test_validate_public_detects_silent_rows():
 
 
 def _guard_targets(verifier):
-    """{live state: {guard target states}} over every guard row."""
+    """{live state: {guard target states}} over every guard row of the
+    completed verifier."""
+    full = verifier.completed
     out = {}
-    for sym, table in verifier.rows.items():
+    for sym, table in full.rows.items():
         for (q, g), targets in table.items():
-            if verifier.class_of(sym, q, g) == GUARD:
+            if _class_of(full, sym, (q, g)) == GUARD:
                 assert len(targets) == 1
                 amp, q2, g2 = targets[0]
                 assert (amp, g2) == (1.0, g)
@@ -250,7 +258,7 @@ def test_guard_rows_share_one_rejecting_state_per_live_state():
     assert v.rejecting == ("rej~q0", "rej~q0'", "rej~q1")
     assert v.metadata["guard_states"] == 2
     for g in ("a", "b"):
-        assert v.row("0", "q0", g) == ((1.0, "rej~q0'", g),)
+        assert v.completed.rows["0"]["q0", g] == ((1.0, "rej~q0'", g),)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,17 +289,18 @@ def test_per_symbol_unitarity_decides_step_unitarity(kwargs, data):
     assert max(report.per_input.values()) <= report.tau
     # one row scaled by 1.5 breaks its symbol's table and exactly the
     # step operators of the inputs whose tape carries that symbol
+    full = v.completed
     sym = data.draw(st.sampled_from(v.padded_alphabet))
-    key = data.draw(st.sampled_from(sorted(v.rows[sym])))
-    rows = {s: dict(table) for s, table in v.rows.items()}
+    key = data.draw(st.sampled_from(sorted(full.rows[sym])))
+    rows = {s: dict(table) for s, table in full.rows.items()}
     rows[sym][key] = tuple((1.5 * amp, q2, g2)
                            for amp, q2, g2 in rows[sym][key])
     scaled = VerifierSpec(
         name="scaled", input_alphabet=v.input_alphabet,
         comm_alphabet=v.comm_alphabet, non_halting=v.non_halting,
         accepting=v.accepting, rejecting=v.rejecting, initial=v.initial,
-        two_way=v.two_way, rows=rows, head_dir=v.head_dir,
-        row_class=v.row_class,
+        two_way=v.two_way, rows=rows, head_dir=full.head_dir,
+        row_class=full.row_class,
     )
     bad = validate_wellformed(scaled, inputs=inputs)
     assert not bad.ok
@@ -299,18 +308,6 @@ def test_per_symbol_unitarity_decides_step_unitarity(kwargs, data):
         assert (defect > bad.tau) == (s == sym)
     for x, defect in bad.per_input.items():
         assert (defect > bad.tau) == (sym in padded_input(x))
-
-
-def _plain_copy(verifier):
-    """A plain VerifierSpec given verifier's full (completed) table."""
-    return VerifierSpec(
-        name="full", input_alphabet=verifier.input_alphabet,
-        comm_alphabet=verifier.comm_alphabet,
-        non_halting=verifier.non_halting, accepting=verifier.accepting,
-        rejecting=verifier.rejecting, initial=verifier.initial,
-        two_way=verifier.two_way, rows=verifier.rows,
-        head_dir=verifier.head_dir, row_class=verifier.row_class,
-    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,7 +326,7 @@ def test_derived_step_defects_match_built_step_operators(kwargs, data):
     inputs = ["".join(w) for n in range(3)
               for w in itertools.product("01", repeat=n)]
     live = validate_wellformed(v, inputs=inputs)
-    full = validate_wellformed(_plain_copy(v), inputs=inputs)
+    full = validate_wellformed(v.completed, inputs=inputs)
     tau = live.tau
     assert live.ok == full.ok
     for sym in v.padded_alphabet:
@@ -355,7 +352,7 @@ def test_shipped_derived_step_defects_equal_built_step_operators(token):
     inputs = ["".join(w) for n in range(5)
               for w in itertools.product(v.input_alphabet, repeat=n)]
     report = validate_wellformed(v, inputs=inputs)
-    full = validate_wellformed(_plain_copy(v))
+    full = validate_wellformed(v.completed)
     assert report.ok == full.ok
     for x in inputs:
         assert report.per_input[x] == _built_defect(v, x)
@@ -372,7 +369,7 @@ def test_live_column_check_needs_the_rows_completion_cannot_supply():
     # only halting-source rows are missing: completion supplies them
     partial = VerifierSpec(**base, guards={})
     assert validate_wellformed(partial, inputs=[""]).ok
-    assert len(partial.rows[LEFT_END]) == len(partial.states)
+    assert len(partial.completed.rows[LEFT_END]) == len(partial.states)
     # a plain verifier is not completable: the same table is incomplete
     plain = VerifierSpec(**base)
     report = validate_wellformed(plain, inputs=[""])
@@ -388,28 +385,29 @@ def test_live_column_check_needs_the_rows_completion_cannot_supply():
 
 def _assert_guard_rows_are_implied(v, core_keys=None):
     """The live tables hold the core rows only; every other live-source
-    lookup returns the full table's guard row; and the per-symbol defect
-    is the Gram defect of the full table's core and guard columns."""
+    lookup returns the completed verifier's guard row; and the per-symbol
+    defect is the Gram defect of the completed core and guard columns."""
     if v.guards is None:
-        # a plain verifier: its live tables are its full tables
-        assert v.moves is v.live_moves
+        # a plain verifier is its own completion
+        assert v.completed is v
         return
+    completed = v.completed
     stored = {(sym, key) for sym, table in v.live_moves.items()
               for key in table}
-    full_core = {(sym, key) for sym, table in v.rows.items() for key in table
-                 if v.class_of(sym, *key) == CORE}
+    full_core = {(sym, key) for sym, table in completed.rows.items()
+                 for key in table if _class_of(completed, sym, key) == CORE}
     assert stored == full_core
     if core_keys is not None:
         assert stored == core_keys
     for sym in v.padded_alphabet:
-        live, full = v.live_moves[sym], v.moves[sym]
+        live, full = v.live_moves[sym], completed.live_moves[sym]
         for q in v.guards:
             for g in v.comm_alphabet:
                 if (q, g) not in live:
                     assert live[q, g] == full[q, g]
-                    assert v.class_of(sym, q, g) == GUARD
+                    assert _class_of(completed, sym, (q, g)) == GUARD
         keys = [p for p in v.pair_index if p in full
-                and v.class_of(sym, *p) in (CORE, GUARD)]
+                and _class_of(completed, sym, p) in (CORE, GUARD)]
         want = isometry_defect(
             [(v.pair_index[q2, g2], j, amp) for j, key in enumerate(keys)
              for amp, q2, g2, _d in full[key]], len(keys))
@@ -433,7 +431,7 @@ def test_shipped_live_tables_hold_only_core_rows(token):
 def test_equal_blocks_live_tables_hold_its_core_rows():
     v = make_bundle("equal_blocks", {"branches": 8}).verifier
     assert sum(len(table) for table in v.live_moves.values()) == 104
-    assert len(list(v.core_rows())) == 104
+    assert sum(cls == CORE for *_, cls in v.live_rows()) == 104
 
 
 @pytest.mark.parametrize("guards, message", [
@@ -473,6 +471,11 @@ def test_verifier_spec_refuses_malformed_guard_maps(guards, message):
      "transition target ('rej', 'z') references unknown ids"),
     ({"two_way": True, "head_dir": {("rej", BLANK): 2}},
      "head direction 2 out of range at ('rej', '#')"),
+    ({"input_alphabet": ("0", "1", "1")}, "duplicate input symbols"),
+    ({"input_alphabet": ("0", "1", "")},
+     "input symbol '' is not a single character"),
+    ({"input_alphabet": ("zz", "1")},
+     "input symbol 'zz' is not a single character"),
 ])
 def test_verifier_spec_refuses_malformed_structure(change, message):
     base = dict(
@@ -498,7 +501,7 @@ def _reference_step_operator(verifier, x):
     index = {lab: i for i, lab in enumerate(basis)}
     entries = []
     for (q, k, g) in basis:
-        for amp, q2, g2, d in verifier.moves[tape[k]][q, g]:
+        for amp, q2, g2, d in verifier.completed.live_moves[tape[k]][q, g]:
             entries.append((index[(q2, (k + d) % len(tape), g2)],
                             index[(q, k, g)], complex(amp)))
     return entries, basis
@@ -513,15 +516,16 @@ def test_tiled_step_operator_matches_the_basis_loop(kwargs, data):
     for x in inputs:
         assert build_step_operator(v, x) == _reference_step_operator(v, x)
     # one row deleted: both builds refuse with the same missing row
+    full = v.completed
     sym = data.draw(st.sampled_from(v.padded_alphabet))
-    key = data.draw(st.sampled_from(sorted(v.rows[sym])))
-    rows = {s: dict(table) for s, table in v.rows.items()}
+    key = data.draw(st.sampled_from(sorted(full.rows[sym])))
+    rows = {s: dict(table) for s, table in full.rows.items()}
     del rows[sym][key]
     gappy = VerifierSpec(
         name="gappy", input_alphabet=v.input_alphabet,
         comm_alphabet=v.comm_alphabet, non_halting=v.non_halting,
         accepting=v.accepting, rejecting=v.rejecting, initial=v.initial,
-        two_way=v.two_way, rows=rows, head_dir=v.head_dir,
+        two_way=v.two_way, rows=rows, head_dir=full.head_dir,
     )
     for x in inputs:
         if sym not in padded_input(x):

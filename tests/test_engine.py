@@ -455,10 +455,11 @@ def test_sweep_family_refuses_an_empty_family():
 
 def test_halt_mass_target_stops_two_way_runs_early(blocks):
     # on a mismatched input the timing branches halt one after another,
-    # so a lowered halting-mass target ends the run before the last branch
+    # so a halting-mass target lowered to 1 - tau/2 = 0.5 ends the run
+    # before the last branch
     full = run_protocol(blocks.verifier, "001", IdentityProver())
     partial = run_protocol(blocks.verifier, "001", IdentityProver(),
-                           EngineConfig(halt_mass_target=0.5))
+                           EngineConfig(tau=1.0))
     assert partial.steps < full.steps
     assert partial.p_acc + partial.p_rej >= 0.5
     assert partial.residual > 0.0
@@ -567,13 +568,11 @@ def _reference_run(verifier, x, prover, cfg):
     (state, head, comm, tape) per configuration: the reference for the
     engine's interned tape ids.  The wallclock is left at 0.
     """
-    cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
+    moves = verifier.completed.live_moves
+    cells = [moves[s] for s in padded_input(x, verifier.input_alphabet)]
     max_steps = resolve_max_steps(verifier, x, cfg)
     trunc = cfg.tape_trunc if cfg.tape_trunc is not None else max_steps + 2
-    halt_target = (
-        cfg.halt_mass_target if cfg.halt_mass_target is not None
-        else 1.0 - 0.5 * cfg.tau
-    )
+    halt_target = 1.0 - 0.5 * cfg.tau
     start = (verifier.initial, 0, BLANK, ())
     live = SparseVector({start: 1.0 + 0j})
     counts = {start: 0} if cfg.count_interactions else None
@@ -948,7 +947,8 @@ def test_query_mass_counts_the_survivors_the_prune_then_drops():
 
 def _reference_mcomp(verifier, x, cfg):
     """run_mcomp stepping every cell, also after the live vector empties."""
-    cells = [verifier.moves[s] for s in padded_input(x, verifier.input_alphabet)]
+    moves = verifier.completed.live_moves
+    cells = [moves[s] for s in padded_input(x, verifier.input_alphabet)]
     live = SparseVector({(verifier.initial, 0, BLANK, ()): 1.0 + 0j})
     masses = [0.0]
     p_acc = p_rej = pruned = 0.0

@@ -662,7 +662,7 @@ def test_dropped_core_row_under_fill_becomes_a_guard(tmp_path):
     doc["rows"]["0"] = doc["rows"]["0"][1:]
     bundle = parse_spec(json.dumps(doc)).make()
     state, comm = dropped_source
-    targets = bundle.verifier.row("0", state, comm)
+    targets = bundle.verifier.completed.rows["0"][state, comm]
     assert len(targets) == 1
     assert bundle.verifier.is_rejecting(targets[0][1])
 
@@ -831,7 +831,7 @@ def test_run_sweep_and_check_never_complete_a_table(monkeypatch, capsys):
 FULL_TABLE_READS = {
     "build_step_operator": lambda v: automata.build_step_operator(v, "01"),
     "verifier_document": verifier_document,
-    "rows": lambda v: v.rows,
+    "completed": lambda v: v.completed,
 }
 
 
@@ -845,7 +845,37 @@ def test_the_first_full_table_read_completes_it_once(first, monkeypatch):
     for read in FULL_TABLE_READS.values():
         read(verifier)
     assert len(completions) == len(verifier.padded_alphabet)
-    assert verifier.rows is verifier.rows
+    assert verifier.completed is verifier.completed
+
+
+def test_the_given_tables_and_analyses_never_complete_a_table(monkeypatch):
+    # equal_blocks N=8 holds 104 given rows; its completed table holds
+    # tens of thousands, and none of these reads builds it
+    verifier = make_bundle("equal_blocks", {"branches": 8}).verifier
+    completions = _count_calls(monkeypatch, automata, "_complete_symbol")
+    assert sum(len(table) for table in verifier.rows.values()) == 104
+    for read in ("row_class", "head_dir", "live_moves", "per_symbol_defects",
+                 "announcement", "branching"):
+        getattr(verifier, read)
+    list(verifier.live_rows())
+    assert completions == []
+    assert "completed" not in vars(verifier)
+
+
+def test_only_the_step_operator_and_the_export_read_completed():
+    # every other reader of a verifier reads the tables it was given
+    readers = set()
+    for path in sorted(Path(automata.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr == "completed"):
+                    readers.add("%s.%s" % (path.stem, func.name))
+    assert readers == {"automata.build_step_operator",
+                       "specfile.verifier_document"}
 
 
 def test_concurrent_first_completions_agree():
@@ -864,7 +894,7 @@ def test_concurrent_first_completions_agree():
     finally:
         sys.setswitchinterval(interval)
     assert docs == [expected] * 16
-    assert vars(verifier)["_full"].rows is verifier.rows
+    assert "completed" in vars(verifier)
 
 
 @pytest.mark.parametrize("token", ["odd", "toy_explicit"])
@@ -1120,6 +1150,10 @@ _CHECK = ["check", "SPEC"]
     pytest.param(_toy(("input_alphabet",), "01"), _CHECK, 2,
                  "input_alphabet: expected a list of strings",
                  id="input-alphabet"),
+    pytest.param(_toy(("input_alphabet",), ["0", "1", "1"]),
+                 ["sweep", "SPEC", "--max-len", "1", "--format", "csv"], 3,
+                 "error: duplicate input symbols\n",
+                 id="input-alphabet-duplicate"),
     pytest.param(_toy(("bogus",), 1), _CHECK, 2,
                  "unknown top-level keys ['bogus']", id="verifier-extra-key"),
     pytest.param(_toy(("name",), ""), _CHECK, 2,
