@@ -33,11 +33,12 @@ comm).  Checks derive it from the per-symbol tables (validate_wellformed)
 and build no step operator; build_step_operator is a plain loop over the
 basis, kept as the reference those derivations are tested against; it
 returns the (row, column, amplitude) triples that the per-symbol check
-hands to linalg.isometry_defect.  The completion's QR is this module's
-one use of numpy.
+hands to linalg.isometry_defect.  The completion's orthonormal
+complements come from a plain-Python Householder QR (_complement).
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -104,7 +105,6 @@ class VerifierSpec:
     row with no class is core.
     live_moves: {padded symbol: MoveTable}, the rows with each target's
     head direction attached.
-    pair_index: {(state, comm): index} in states x comm_alphabet order.
     accepting_set, rejecting_set, halting_set: frozensets of the halting
     states, which the engine's step kernel tests membership in.
 
@@ -152,10 +152,6 @@ class VerifierSpec:
         }
         self.metadata = dict(metadata or {})
         self._validate_structure()
-        self.pair_index = {
-            pair: i for i, pair in enumerate(
-                (q, g) for q in self.states for g in self.comm_alphabet)
-        }
         self.live_moves = {
             sym: MoveTable(sym, {
                 key: tuple([(amp, q2, g2, self.head_dir[q2, g2])
@@ -201,25 +197,32 @@ class VerifierSpec:
     @cached_property
     def per_symbol_defects(self):
         """{padded symbol: isometry defect of its live table}: one column
-        per stored live row, in pair order.  A guard column is a unit
-        vector on a target no other column reaches, so leaving the guard
-        columns out changes no Gram entry the others form.  inf when a
-        row is missing that neither a guard nor completion supplies: a
-        source of an unguarded live state, or any source of a plain
-        verifier."""
+        per stored live row, in pair order, where the pair (q, g) has
+        index (position of q in states) * |comm| + (position of g in
+        comm_alphabet).  A guard column is a unit vector on a target no
+        other column reaches, so leaving the guard columns out changes no
+        Gram entry the others form.  inf when a row is missing that
+        neither a guard nor completion supplies: a source of an
+        unguarded live state, or any source of a plain verifier."""
         defects = {}
-        index = self.pair_index
+        state_pos = {q: i for i, q in enumerate(self.states)}
+        comm_pos = {g: i for i, g in enumerate(self.comm_alphabet)}
+        width = len(comm_pos)
+
+        def index(q, g):
+            return state_pos[q] * width + comm_pos[g]
+
         guards = self.guards
         unguarded = [(q, g) for q in self.non_halting
                      if q not in (guards or {}) for g in self.comm_alphabet]
         for sym, table in self.live_moves.items():
-            if len(table) != len(index) and (
+            if len(table) != len(state_pos) * width and (
                     guards is None or any(p not in table for p in unguarded)):
                 defects[sym] = float("inf")
                 continue
-            keys = sorted(table, key=index.__getitem__)
+            keys = sorted(table, key=lambda pair: index(*pair))
             defects[sym] = isometry_defect(
-                [(index[q2, g2], j, amp) for j, key in enumerate(keys)
+                [(index(q2, g2), j, amp) for j, key in enumerate(keys)
                  for amp, q2, g2, _d in table[key]], len(keys))
         return defects
 
@@ -492,6 +495,10 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
     rejecting = list(rejecting)
     state_set = set(non_halting) | set(accepting) | set(rejecting)
     padded = (LEFT_END,) + tuple(input_alphabet) + (RIGHT_END,)
+    for sym in core_rows:
+        if sym not in padded:
+            raise ValidationError(
+                "transition table for unknown symbol %r" % (sym,))
 
     rows = {sym: {} for sym in padded}
 
@@ -537,12 +544,16 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
 
 def _complete_symbol(table, classes, all_states, comm_alphabet,
                      resolved_dir, two_way):
-    """Fill the missing columns of one per-symbol table in place."""
-    import numpy as np
+    """Fill the missing columns of one per-symbol table in place.
+
+    A free source whose own pair is a free target maps to itself.  The
+    other free sources take, in repr order, the orthonormal complements
+    of the partially used target blocks (the columns _complement adds to
+    each block's columns), then the unused targets as unit vectors.
+    """
     all_pairs = [
         (q, g) for q in all_states for g in comm_alphabet
     ]
-    pair_index = {p: i for i, p in enumerate(all_pairs)}
     used_targets = set()
     for targets in table.values():
         for _, q2, g2 in targets:
@@ -587,19 +598,16 @@ def _complete_symbol(table, classes, all_states, comm_alphabet,
         ncols = len(block["columns"])
         if len(tgt) == ncols:
             continue
-        mat = np.zeros((len(tgt), ncols), dtype=complex)
         t_index = {p: i for i, p in enumerate(tgt)}
-        for c, targets in enumerate(sorted(block["columns"], key=repr)):
+        columns = []
+        for targets in sorted(block["columns"], key=repr):
+            column = [0j] * len(tgt)
             for amp, q2, g2 in targets:
-                mat[t_index[(q2, g2)], c] += amp
-        q_full, _ = np.linalg.qr(mat, mode="complete")
-        for c in range(ncols, len(tgt)):
-            vec = [
-                (complex(q_full[i, c]), tgt[i][0], tgt[i][1])
-                for i in range(len(tgt))
-                if abs(q_full[i, c]) > 1e-14
-            ]
-            complement_vectors.append(vec)
+                column[t_index[q2, g2]] += amp
+            columns.append(column)
+        for vec in _complement(columns, len(tgt)):
+            complement_vectors.append([(z, q2, g2) for z, (q2, g2)
+                                       in zip(vec, tgt) if abs(z) > 1e-14])
 
     # leftover completely-free targets become singleton complement vectors
     for p in sorted(free_target_set, key=lambda p: (repr(p[0]), repr(p[1]))):
@@ -615,6 +623,49 @@ def _complete_symbol(table, classes, all_states, comm_alphabet,
         classes[p] = COMPLETION
         for _, q2, g2 in vec:
             resolved_dir.setdefault((q2, g2), 0 if two_way else 1)
+
+
+def _complement(columns, m):
+    """The trailing m - k columns of the complete QR factor Q of the m x k
+    matrix with the given k columns (lists of m complex numbers): an
+    orthonormal basis of the complement of their span when they are
+    independent.  Q = H_1 ... H_k is the product of the Householder
+    reflections H_i = I - tau_i u_i u_i^H, formed as LAPACK forms them
+    (beta = -sign(Re alpha) * norm, u_i[i] = 1), the basis
+    numpy.linalg.qr(mode="complete") returns.
+    """
+    a = [list(column) for column in columns]
+    reflectors = []
+    for i, x in enumerate(a):
+        alpha, rest = x[i], x[i + 1:]
+        if alpha.imag == 0 and not any(rest):
+            continue  # H_i is the identity
+        # |x[i:]| scaled by its largest part, as LAPACK's dlapy3 takes it
+        parts = (abs(alpha.real), abs(alpha.imag),
+                 math.hypot(*map(abs, rest)))
+        w = max(parts)
+        norm = w * math.sqrt(sum((p / w) ** 2 for p in parts))
+        beta = -math.copysign(norm, alpha.real)
+        tau = complex((beta - alpha.real) / beta, -alpha.imag / beta)
+        scale = 1 / (alpha - beta)
+        u = [1.0] + [scale * z for z in rest]
+        reflectors.append((i, tau, u))
+        for y in a[i + 1:]:
+            _reflect(y, i, tau.conjugate(), u)
+    basis = []
+    for c in range(len(a), m):
+        y = [0j] * m
+        y[c] = 1.0 + 0j
+        for i, tau, u in reversed(reflectors):
+            _reflect(y, i, tau, u)
+        basis.append(y)
+    return basis
+
+
+def _reflect(y, i, tau, u):
+    """y[i:] := (I - tau u u^H) y[i:], in place."""
+    s = tau * sum(a.conjugate() * b for a, b in zip(u, y[i:]))
+    y[i:] = [b - a * s for a, b in zip(u, y[i:])]
 
 
 # -- step operators and validators ----------------------------------------

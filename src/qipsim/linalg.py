@@ -1,38 +1,36 @@
 """Small complex linear-algebra helpers used by the simulation engine.
 
-The isometry check is plain Python and reads one matrix format: the
-(row, column, value) triples of isometry_defect.  check_isometry and
-check_unitary hand it the nonzero entries of a dense matrix.  numpy is
-imported only by the Fourier amplitudes and for a dense matrix.
+Plain Python throughout.  The isometry check reads one matrix format:
+the (row, column, value) triples of isometry_defect.  check_isometry and
+check_unitary hand it the nonzero entries of a matrix given as a
+sequence of equal-length rows.
 """
 
 import math
 import numbers
+from collections.abc import Sequence
 
 from .errors import LinalgError
 
 
 def make_qft(n):
-    """Return the n-by-n discrete-Fourier mixing matrix.
+    """Return the n-by-n discrete-Fourier mixing matrix as a list of rows.
 
-    Entry (l, j) is exp(2*pi*i*j*l/n) / sqrt(n) with 1-based row and
-    column indices, so the n=2 instance is [[-1, 1], [1, 1]] / sqrt(2).
+    Entry [l - 1][j - 1] is exp(2*pi*i*j*l/n) / sqrt(n) with 1-based row
+    and column indices, so the n=2 instance is [[-1, 1], [1, 1]] / sqrt(2).
     Raises LinalgError for n < 1.
     """
-    import numpy as np
     n = _dimension(n)
-    idx = np.arange(1, n + 1)
-    return _fourier(np.outer(idx, idx), n)
+    return [[_fourier(j * l, n) for j in range(1, n + 1)]
+            for l in range(1, n + 1)]
 
 
 def fourier_entry(n, j, l):
-    """make_qft(n)[l - 1, j - 1] with j and l taken modulo n into 1..n,
+    """make_qft(n)[l - 1][j - 1] with j and l taken modulo n into 1..n,
     computed as make_qft computes it, so the bits agree.
     """
-    import numpy as np
     n = _dimension(n)
-    products = np.array([float(((j - 1) % n + 1) * ((l - 1) % n + 1))])
-    return complex(_fourier(products, n)[0])
+    return _fourier(((j - 1) % n + 1) * ((l - 1) % n + 1), n)
 
 
 def as_integer(value):
@@ -53,9 +51,13 @@ def _dimension(n):
     return m
 
 
-def _fourier(products, n):
-    import numpy as np
-    return np.exp(2j * np.pi * products / n) / math.sqrt(n)
+def _fourier(product, n):
+    # exp(2*pi*i*product/n) / sqrt(n) as cos + i sin, multiplying by 1/n
+    # and 1/sqrt(n) as numpy divides a complex by a real, so each entry
+    # has the bits of numpy's np.exp(2j * np.pi * product / n) / np.sqrt(n)
+    phase = 2 * math.pi * product * (1.0 / n)
+    scale = 1.0 / math.sqrt(n)
+    return complex(math.cos(phase) * scale, math.sin(phase) * scale)
 
 
 def check_unitary(matrix, tau=1e-9):
@@ -64,11 +66,11 @@ def check_unitary(matrix, tau=1e-9):
     check_isometry's result for a square matrix.  Raises LinalgError when
     the input is not a square numeric matrix.
     """
-    shape, entries = _entries(matrix)
-    if len(shape) != 2 or shape[0] != shape[1]:
+    n_rows, n_cols, entries = _entries(matrix)
+    if n_rows != n_cols:
         raise LinalgError("invalid dimension: unitarity check needs a "
-                          "square matrix, got shape %r" % (shape,))
-    defect = isometry_defect(entries, shape[1])
+                          "square matrix, got shape %r" % ((n_rows, n_cols),))
+    defect = isometry_defect(entries, n_cols)
     return defect <= tau, defect
 
 
@@ -76,26 +78,43 @@ def check_isometry(matrix, tau=1e-9):
     """Return (ok, defect) where defect = max |(U* U - I)_ij| for an m x n
     matrix U: how far its columns are from orthonormal.
 
-    The matrix is anything numpy reads as a 2-D complex array; its
-    nonzero entries go to isometry_defect.  ok is defect <= tau.  Raises
-    LinalgError when the input is not a 2-D numeric matrix.
+    The matrix is a sequence of m rows of n numbers each (a numpy array
+    is read through its tolist()); its nonzero entries go to
+    isometry_defect.  ok is defect <= tau.  Raises LinalgError when the
+    input is not such a matrix.
     """
-    shape, entries = _entries(matrix)
-    if len(shape) != 2:
-        raise LinalgError("invalid dimension: isometry check needs a 2-D "
-                          "matrix, got shape %r" % (shape,))
-    defect = isometry_defect(entries, shape[1])
+    _n_rows, n_cols, entries = _entries(matrix)
+    defect = isometry_defect(entries, n_cols)
     return defect <= tau, defect
 
 
 def _entries(matrix):
-    import numpy as np
-    try:
-        u = np.asarray(matrix, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise LinalgError("not a 2-D numeric matrix: %s" % exc) from None
-    index = u.nonzero()
-    return u.shape, zip(*(i.tolist() for i in index), u[index].tolist())
+    """(rows, columns, nonzero (row, column, value) triples) of a matrix
+    given as a sequence of equal-length rows of numbers."""
+    rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix
+    if not _is_sequence(rows):
+        raise LinalgError("not a 2-D numeric matrix: %r is not a sequence "
+                          "of rows" % (matrix,))
+    for row in rows:
+        if not _is_sequence(row):
+            raise LinalgError("not a 2-D numeric matrix: row %r is not a "
+                              "sequence" % (row,))
+        for z in row:
+            if not isinstance(z, numbers.Number):
+                raise LinalgError("not a 2-D numeric matrix: entry %r is "
+                                  "not a number" % (z,))
+    widths = sorted({len(row) for row in rows})
+    if len(widths) != 1:
+        raise LinalgError("not a 2-D numeric matrix: row widths %r"
+                          % (widths,))
+    entries = [(r, c, complex(z)) for r, row in enumerate(rows)
+               for c, z in enumerate(row) if z]
+    return len(rows), widths[0], entries
+
+
+def _is_sequence(value):
+    return isinstance(value, Sequence) and not isinstance(
+        value, (str, bytes, bytearray))
 
 
 def isometry_defect(entries, n_cols):

@@ -525,7 +525,7 @@ def center_protocol(branches=2):
         core[RIGHT_END][(turn, MARK)] = ((1.0, "fast%d" % j, MARK),)
         head_dir[(turn, MARK)] = 0
         core[LEFT_END][("c%d.0" % j, MARK)] = tuple(
-            (complex(mix[l - 1, j - 1]), "fin%d" % l, BLANK)
+            (mix[l - 1][j - 1], "fin%d" % l, BLANK)
             for l in range(1, n_b + 1)
         )
     for l in range(1, n_b + 1):
@@ -664,7 +664,7 @@ def equal_blocks_protocol(branches=2):
                 e("b%d.%d" % (j, k + 1)),)
         core["1"][("b%d.%d" % (j, j), pub("b%d.%d" % (j, j)))] = (e(m),)
         core[RIGHT_END][(m, pub(m))] = tuple(
-            (complex(mix[l - 1, j - 1]), "fin%d" % l, pub("fin%d" % l))
+            (mix[l - 1][j - 1], "fin%d" % l, pub("fin%d" % l))
             for l in range(1, n_b + 1)
         )
 

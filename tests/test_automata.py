@@ -4,6 +4,7 @@ import itertools
 import re
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,6 +384,12 @@ def test_live_column_check_needs_the_rows_completion_cannot_supply():
         LEFT_END: 0.0, RIGHT_END: float("inf")}
 
 
+def _pair_index(v):
+    """{(state, comm): index} in states x comm_alphabet order."""
+    return {pair: i for i, pair in enumerate(
+        itertools.product(v.states, v.comm_alphabet))}
+
+
 def _assert_guard_rows_are_implied(v, core_keys=None):
     """The live tables hold the core rows only; every other live-source
     lookup returns the completed verifier's guard row; and the per-symbol
@@ -397,6 +404,7 @@ def _assert_guard_rows_are_implied(v, core_keys=None):
     full_core = {(sym, key) for sym, table in completed.rows.items()
                  for key in table if _class_of(completed, sym, key) == CORE}
     assert stored == full_core
+    index = _pair_index(v)
     if core_keys is not None:
         assert stored == core_keys
     for sym in v.padded_alphabet:
@@ -406,10 +414,10 @@ def _assert_guard_rows_are_implied(v, core_keys=None):
                 if (q, g) not in live:
                     assert live[q, g] == full[q, g]
                     assert _class_of(completed, sym, (q, g)) == GUARD
-        keys = [p for p in v.pair_index if p in full
+        keys = [p for p in index if p in full
                 and _class_of(completed, sym, p) in (CORE, GUARD)]
         want = isometry_defect(
-            [(v.pair_index[q2, g2], j, amp) for j, key in enumerate(keys)
+            [(index[q2, g2], j, amp) for j, key in enumerate(keys)
              for amp, q2, g2, _d in full[key]], len(keys))
         assert v.per_symbol_defects[sym] == want
 
@@ -491,6 +499,56 @@ def test_verifier_spec_refuses_malformed_structure(change, message):
     assert str(info.value) == message
 
 
+def test_complete_verifier_refuses_a_table_for_an_unknown_symbol():
+    base = dict(
+        name="core", input_alphabet=("0",), comm_alphabet=(BLANK,),
+        non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
+        initial="q0", two_way=False, head_dir={},
+        core_rows={"0": {("q0", BLANK): ((1.0, "acc", BLANK),)}},
+    )
+    complete_verifier(**base)
+    # even a row naming an unknown state and comm symbol: the table is
+    # refused for its symbol, as VerifierSpec refuses it
+    unknown = {("q9", "z"): ((1.0, "nowhere", "z"),)}
+    with pytest.raises(ValidationError) as info:
+        complete_verifier(**{**base, "core_rows": {
+            **base["core_rows"], "7": unknown}})
+    assert str(info.value) == "transition table for unknown symbol '7'"
+
+
+@st.composite
+def complement_blocks(draw):
+    """(columns, m): 1-4 columns in C^2..C^6 with fewer columns than rows,
+    orthonormal (a random unitary's first columns) or each scaled."""
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(1, min(4, m - 1)))
+    parts = draw(st.lists(st.floats(-1, 1), min_size=2 * m * m,
+                          max_size=2 * m * m))
+    z = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+    q, _ = np.linalg.qr(z.reshape(m, m))
+    if draw(st.booleans()):
+        q = q * np.array(draw(st.lists(st.sampled_from((1.0, 1.5, -0.5j)),
+                                       min_size=m, max_size=m)))
+    return q[:, :k].T.tolist(), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(complement_blocks())
+def test_complement_is_numpy_qr_trailing_columns(block):
+    columns, m = block
+    basis = automata._complement(columns, m)
+    assert len(basis) == m - len(columns)
+    vectors = np.array(basis).T
+    given_cols = np.array(columns).T
+    gram = vectors.conj().T @ vectors - np.eye(len(basis))
+    assert np.abs(gram).max() <= 1e-14
+    assert np.abs(given_cols.conj().T @ vectors).max() <= 1e-14
+    q, _ = np.linalg.qr(given_cols, mode="complete")
+    trailing = q[:, len(columns):]
+    want = trailing @ trailing.conj().T
+    assert np.abs(vectors @ vectors.conj().T - want).max() <= 1e-12
+
+
 def _reference_step_operator(verifier, x):
     """(entries, basis) built by a loop over the basis, one row lookup per
     (state, head, comm) label: the reference for build_step_operator.
@@ -564,10 +622,11 @@ def test_per_symbol_check_reads_live_columns_in_pair_order(token,
     del v.per_symbol_defects  # read afresh below
     assert set(v.per_symbol_defects) == set(v.padded_alphabet)
     assert len(checked) == len(v.padded_alphabet)
+    index = _pair_index(v)
     for sym, (entries, n_cols) in zip(v.padded_alphabet, checked):
         table = v.live_moves[sym]
-        keys = [pair for pair in v.pair_index if pair in table]
-        want = [(v.pair_index[q2, g2], j, amp)
+        keys = [pair for pair in index if pair in table]
+        want = [(index[q2, g2], j, amp)
                 for j, key in enumerate(keys)
                 for amp, q2, g2, _d in table[key]]
         assert entries == want

@@ -42,6 +42,15 @@ def test_make_qft_entries_are_roots_of_unity():
             assert abs(u[l - 1][j - 1] - want) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_make_qft_is_numpy_fourier_formula(n):
+    idx = np.arange(1, n + 1)
+    want = np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    u = make_qft(n)
+    assert isinstance(u, list) and all(isinstance(row, list) for row in u)
+    assert np.abs(np.array(u) - want).max() <= 1e-15
+
+
 @pytest.mark.parametrize("bad", [0, -1, 2.5])
 def test_make_qft_rejects_bad_dimension(bad):
     with pytest.raises(LinalgError):
@@ -64,6 +73,32 @@ def test_check_unitary_rejects_nonsquare():
         check_unitary([[1, 0], [0]])
     with pytest.raises(LinalgError, match="not a 2-D numeric matrix"):
         check_unitary([["a", "b"], ["c", "d"]])
+    # rows of digits are strings, not rows of numbers
+    with pytest.raises(LinalgError, match="not a 2-D numeric matrix"):
+        check_unitary(["10", "01"])
+
+
+@pytest.mark.parametrize("check", [check_unitary, check_isometry])
+@pytest.mark.parametrize("bad", [
+    5, None, [], [1, 0], "ab", [[1, 0], [0]], [["a"]], [["1"]],
+    ["10", "01"], (row for row in [[1]]), np.float64(1.0), np.zeros(2),
+    np.zeros((1, 1, 1)),
+], ids=["scalar", "none", "empty", "flat", "string", "ragged", "letter",
+        "digit-string", "string-rows", "generator", "numpy-scalar",
+        "numpy-1d", "numpy-3d"])
+def test_matrix_checks_refuse_what_is_not_a_matrix(check, bad):
+    with pytest.raises(LinalgError, match="not a 2-D numeric matrix"):
+        check(bad)
+
+
+def test_matrix_checks_read_rows_tuples_and_arrays():
+    # a 1 x 0 matrix has no columns: an isometry, but not square
+    assert check_isometry([[]]) == (True, 0.0)
+    with pytest.raises(LinalgError, match="square"):
+        check_unitary([[]])
+    rows = [[0, 1], [1j, 0]]
+    for u in (rows, tuple(map(tuple, rows)), np.array(rows)):
+        assert check_unitary(u) == (True, 0.0)
 
 
 # Entries whose products and sums are exact in floating point, so every
@@ -199,7 +234,7 @@ def test_isometry_defect_of_a_stored_zero_or_a_zero_column_is_one():
 @pytest.mark.parametrize("n", range(1, 17))
 def test_isometry_defect_of_the_fourier_matrix(n):
     u = make_qft(n)
-    entries = [(r, c, z) for r, row in enumerate(u.tolist())
+    entries = [(r, c, z) for r, row in enumerate(u)
                for c, z in enumerate(row) if z]
     assert _same_check(u, entries, n) <= 1e-12
 

@@ -119,6 +119,8 @@ def test_explicit_prover_validates_unitarity():
                                  [[1, 0], [0, 1]])})
     with pytest.raises(LinalgError, match="not a 2-D numeric matrix"):
         ExplicitRoundProver({1: (basis, [[1, 0], [0]])})
+    with pytest.raises(LinalgError, match="not a 2-D numeric matrix"):
+        ExplicitRoundProver({1: (basis, 1.0)})
 
 
 @pytest.mark.parametrize("pairs, size", [(1, 2), (2, 1)])

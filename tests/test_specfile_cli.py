@@ -79,7 +79,7 @@ def test_fourier_form_is_the_make_qft_entry(n):
     for j in range(1, n + 1):
         for l in range(1, n + 1):
             form = evaluate_amplitude({"fourier": {"n": n, "j": j, "l": l}})
-            assert abs(form - mix[l - 1, j - 1]) <= 1e-15
+            assert abs(form - mix[l - 1][j - 1]) <= 1e-15
             # the entry depends on j and l only modulo n
             assert evaluate_amplitude({"fourier": [n, j + n, l - n]}) == form
 
@@ -508,20 +508,27 @@ def test_cli_check_interaction_bound_names_an_input(tmp_path, capsys):
             "(input ''), claimed <= 0") in capsys.readouterr().out.splitlines()
 
 
-# Runs a code snippet in a fresh interpreter where importing scipy fails,
-# then prints which of numpy and scipy the snippet loaded.
+# Runs a code snippet in a fresh interpreter where importing numpy or
+# scipy fails, then prints the third-party modules the snippet loaded.
 IMPORT_PROBE = """
 import sys
-sys.modules["scipy"] = None  # any import of scipy raises ImportError
+sys.modules["numpy"] = None  # any import of numpy raises ImportError
+sys.modules["scipy"] = None  # and so does any import of scipy
+before = set(sys.modules)
 %s
-print(sorted({m.split(".")[0] for m, module in sys.modules.items() if module}
-             & {"numpy", "scipy"}))
+print(sorted({m.split(".")[0] for m in set(sys.modules) - before
+              if sys.modules[m]} - set(sys.stdlib_module_names) - {"qipsim"}))
 """
 
 COMMANDS = """
-from qipsim.cli import main
-for argv in %r:
-    assert main(argv) == 0, argv
+from qipsim.cli import main, resolve_spec
+for token, extra in %r:
+    alphabet = resolve_spec(token).make().verifier.input_alphabet
+    x = alphabet[0] + alphabet[-1]
+    for argv in (["check"], ["sweep", "--max-len", "3"],
+                 ["run", "--input", x], ["trace", "--input", x]):
+        argv = argv[:1] + [token] + argv[1:] + extra
+        assert main(argv) == 0, argv
 """
 
 
@@ -537,11 +544,22 @@ def _probe(code):
     # no Fourier amplitudes: neither numpy nor scipy is imported
     ([["check", "odd"], ["sweep", "odd", "--max-len", "3"],
       ["run", "zero", "--input", "0101"]], []),
-    # center's Fourier amplitudes take numpy's bits; scipy stays out
-    ([["check", "center"]], ["numpy"]),
+    # center's Fourier amplitudes are plain Python too: numpy stays out
+    ([["check", "center"]], []),
 ])
 def test_commands_import_numpy_only_for_fourier_amplitudes(commands, loaded):
-    assert _probe(COMMANDS % (commands,)) == repr(loaded)
+    code = ("from qipsim.cli import main\n"
+            "for argv in %r:\n"
+            "    assert main(argv) == 0, argv\n" % (commands,))
+    assert _probe(code) == repr(loaded)
+
+
+def test_commands_import_no_third_party_module():
+    # every command on every shipped spec, and the Fourier protocols at
+    # another branch count, runs on the standard library alone
+    runs = [(token, []) for token in SHIPPED] + [
+        ("center", ["--N", "4"]), ("equal_blocks", ["--N", "4"])]
+    assert _probe(COMMANDS % (runs,)) == "[]"
 
 
 FULL_TABLES = """
@@ -559,10 +577,10 @@ for token in %r:
 """
 
 
-def test_the_full_tables_need_no_scipy():
+def test_the_full_tables_import_no_third_party_module():
     # the step-operator oracle, its isometry check and the export all
-    # read the full (completed) tables; the completion's QR takes numpy
-    assert _probe(FULL_TABLES % (SHIPPED,)) == repr(["numpy"])
+    # read the full (completed) tables, whose complements are plain Python
+    assert _probe(FULL_TABLES % (SHIPPED,)) == "[]"
 
 
 def _distribution(requirement):
