@@ -485,13 +485,16 @@ def cmd_trace(args):
 # -- parser -------------------------------------------------------------------
 
 
-def _at_least(low, convert=int):
-    """An argparse type: a finite int (or `convert`) value >= low."""
+def _at_least(low, convert=int, below=math.inf):
+    """An argparse type: a finite int (or `convert`) value >= low, and
+    below `below` when that is finite."""
     def parse(text):
         value = convert(text)
-        if not low <= value < math.inf:
+        if not low <= value < below:
+            bounds = (">= %s" % low if below == math.inf
+                      else "in [%s, %s)" % (low, below))
             raise argparse.ArgumentTypeError(
-                "must be a finite number >= %s, got %r" % (low, text))
+                "must be a finite number %s, got %r" % (bounds, text))
         return value
     parse.__name__ = convert.__name__
     return parse
@@ -503,8 +506,12 @@ def build_parser():
     leaves it unchanged, so every main call shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("spec")
-    common.add_argument("--tau", type=_at_least(0, float), default=1e-9,
-                        help="numerical tolerance (default 1e-9)")
+    # from tau = 0.5 on, a probability can lie within tau of both 0 and
+    # 1, and tau = 2 puts a two-way run's halt target 1 - tau/2 at 0;
+    # EngineConfig itself still takes any tau
+    common.add_argument("--tau", type=_at_least(0, float, below=0.5),
+                        default=1e-9,
+                        help="numerical tolerance in [0, 0.5) (default 1e-9)")
     common.add_argument("--prune", type=_at_least(0, float), default=1e-12,
                         help="amplitude prune threshold (default 1e-12)")
     common.add_argument("--max-steps", type=_at_least(1), default=None,

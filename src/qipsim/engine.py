@@ -40,6 +40,13 @@ round is a relabel, bit-identical to summing: each (q, k, g, i) becomes
 responder's records keep the keys apart and every amplitude has passed
 the verifier step's prune; a respond that merges two keys gets the
 summing round.  Any other prover's round sums its actions and prunes.
+When one configuration is live, as in every run of a branch-free
+verifier (schedule enumeration, committed schedules), a verifier step
+on a one-target row computes that target directly and a responder's
+round makes one respond call and one relabelled key.  Each gives the
+general path's one-entry result bit for bit, with the same row lookup,
+masses, counts and checks; several configurations or targets can meet
+and are summed, so the kernel picks its path from the live size alone.
 run_mcomp calls the kernel with no prune, projects out the non-blank
 comm and then prunes the blank-comm survivors.
 
@@ -161,8 +168,49 @@ def _verifier_step(verifier, cells, live, counts, prune):
     |a| <= prune (none when prune <= 0).  Returns (survivors, accepted
     mass, rejected mass, query mass, pruned mass, each survivor's largest
     interaction count when counts is given, else None).
+
+    When live holds one configuration and its row has one target, that
+    target is computed directly, with no summing dict, no second pass
+    and no counts dicts.  The row is the same MoveTable lookup, so a
+    missing row raises the same ValidationError, and every value is the
+    one the general path gives a one-entry sum: z = 0j + a * amp keeps
+    the signed zeros of get(key2, 0j) + a * amp, an exact 0j is dropped,
+    and each mass is added to 0.0 as in the pass.  Each run of a
+    branch-free verifier, as in schedule enumeration and committed
+    schedules, carries one configuration per step; a step with several
+    configurations or targets sums them, so it keeps the general path.
     """
     length = len(cells)
+    if len(live) == 1:
+        [(key, a)] = live.items()
+        q, k, g, y = key
+        row = cells[k][q, g]
+        if len(row) == 1:
+            [(amp, q2, g2, d)] = row
+            survivors = SparseVector()
+            survivor_counts = {} if counts is not None else None
+            accepted = rejected = query_mass = pruned = 0.0
+            z = 0j + a * amp
+            if z != 0j:
+                w = (z * z.conjugate()).real
+                if q2 in verifier.accepting_set:
+                    accepted += w
+                elif q2 in verifier.rejecting_set:
+                    rejected += w
+                else:
+                    if g2 != BLANK:
+                        query_mass += w
+                    if abs(z) <= prune:
+                        pruned += w
+                    else:
+                        key2 = (q2, (k + d) % length, g2, y)
+                        survivors[key2] = z
+                        if counts is not None:
+                            base = counts[key]
+                            survivor_counts[key2] = (
+                                base + 1 if g2 != BLANK else base)
+            return (survivors, accepted, rejected, query_mass, pruned,
+                    survivor_counts)
     nxt = {}
     get = nxt.get
     counting = counts is not None
@@ -313,9 +361,14 @@ class RunState:
         the verifier step's prune; and a verifier-step survivor holds no
         -0.0, so 0j + a * 1.0 == a.  A respond that is not injective on
         the live keys leaves fewer entries, and then the round is summed
-        with the actions already asked for.  Every other prover's
-        amplitudes are summed as in _verifier_step, then one pass keeps
-        the entries with |a| > prune and banks the rest as pruned mass.
+        with the actions already asked for.  On one configuration, as in
+        every run of a branch-free verifier, no two keys can meet: the
+        round is one _respond call and one relabelled key, with no
+        action cache and no length test; several configurations take
+        the cached relabel, since they may share a (comm, tape) pair or
+        merge.  Every other prover's amplitudes are summed as in
+        _verifier_step, then one pass keeps the entries with |a| > prune
+        and banks the rest as pruned mass.
         """
         t = self.t
         live = self.live
@@ -323,6 +376,15 @@ class RunState:
         counting = counts is not None
         actions = {}
         if acts_as_responder(prover):
+            if len(live) == 1:
+                [(key, a)] = live.items()
+                q, k, g, i = key
+                g2, i2 = self._respond(prover, t, g, i)
+                key2 = (q, k, g2, i2)
+                self.live = SparseVector({key2: a})
+                if counting:
+                    self.counts = {key2: counts[key]}
+                return
             moved = SparseVector()
             moved_counts = {}
             for key, a in live.items():

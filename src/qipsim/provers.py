@@ -301,10 +301,16 @@ def enumerate_schedules(comm_alphabet, rounds, committed_only=False):
     round taking one of schedule_options in turn, the first round
     varying slowest.  Raises BudgetError (on the first next()) when the
     family exceeds ENUMERATION_BUDGET.
+
+    Each schedule's prover_id is the one MessageSchedule(writes) makes,
+    joined from per-round "t:s" parts formatted once per family: the
+    rounds come in order, so no schedule sorts or formats its writes.
     """
     options = schedule_options(comm_alphabet, rounds, committed_only)
-    for combo in itertools.product(options, repeat=rounds):
-        writes = {
-            t + 1: s for t, s in enumerate(combo) if s is not None
-        }
-        yield MessageSchedule(writes)
+    per_round = [[None if s is None else (t, s, "%d:%s" % (t, s))
+                  for s in options] for t in range(1, rounds + 1)]
+    for combo in itertools.product(*per_round):
+        picked = [choice for choice in combo if choice is not None]
+        yield MessageSchedule(
+            {t: s for t, s, _ in picked},
+            prover_id="schedule{%s}" % ",".join(part for _, _, part in picked))

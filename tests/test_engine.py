@@ -155,8 +155,16 @@ def test_schedule_dp_refuses_a_missing_live_row(odd):
     doc["rows"]["0"] = [entry for entry in doc["rows"]["0"]
                         if entry["source"] != ["q0", BLANK]]
     gappy = parse_spec(serialize_spec(doc)).make().verifier
-    with pytest.raises(ValidationError, match="incomplete table"):
+    with pytest.raises(ValidationError, match="incomplete table") as dp:
         best_schedule_acceptance(gappy, "0", method="dp")
+    # runs meet the gap in a one-configuration step, through the same
+    # lookup and with the same error
+    for run in (lambda: run_protocol(gappy, "0"),
+                lambda: best_schedule_acceptance(gappy, "0",
+                                                 method="enumeration")):
+        with pytest.raises(ValidationError) as got:
+            run()
+        assert str(got.value) == str(dp.value)
 
 
 @pytest.mark.parametrize("token", ["zero", "odd"])
@@ -943,6 +951,41 @@ def test_query_mass_counts_the_survivors_the_prune_then_drops():
                                                    ("q3", 2, BLANK)]
     assert step2.query_mass == pytest.approx((s0 * s) ** 2, rel=1e-12)
     assert got.pruned == pytest.approx((s0 * s) ** 2, rel=1e-12)
+
+
+def _phase_chain(amp, halt):
+    """One-way: every row has the one target amp * (next state), so each
+    step of a run carries one configuration.  `^` writes m, the cells
+    keep it and `$` moves into the halting state halt."""
+    return complete_verifier(
+        name="chain", input_alphabet=("0",), comm_alphabet=(BLANK, "m"),
+        non_halting=("q0", "q1"), accepting=("acc",), rejecting=("rej",),
+        initial="q0", two_way=False,
+        core_rows={LEFT_END: {("q0", BLANK): ((amp, "q1", "m"),)},
+                   "0": {("q1", "m"): ((amp, "q1", "m"),)},
+                   RIGHT_END: {("q1", "m"): ((amp, halt, BLANK),)}},
+        head_dir={})
+
+
+@pytest.mark.parametrize("amp", [-1.0, 1j, -1j], ids=["-1", "1j", "-1j"])
+@pytest.mark.parametrize("halt", ["acc", "rej"])
+def test_one_configuration_steps_match_the_reference(amp, halt):
+    # the phases -1, 1j and -1j give -0.0 parts that only 0j + a * amp
+    # clears; the identity run halts in halt, the erasing schedule into
+    # round 2's guard row; prune=1.0 drops step 1's non-blank survivor,
+    # whose mass still counts as query mass
+    v = _phase_chain(amp, halt)
+    for prover in (IdentityProver(), MessageSchedule({2: BLANK})):
+        for x in ("", "0", "000"):
+            for prune in (0.0, 1.0):
+                cfg = EngineConfig(prune=prune, record_steps=True,
+                                   count_interactions=True,
+                                   check_conservation=True)
+                _assert_same_run(run_protocol(v, x, prover, cfg),
+                                 _reference_run(v, x, prover, cfg))
+    pruned = run_protocol(v, "0", IdentityProver(),
+                          EngineConfig(prune=1.0, record_steps=True))
+    assert (pruned.pruned, pruned.step_records[0].query_mass) == (1.0, 1.0)
 
 
 def _reference_mcomp(verifier, x, cfg):

@@ -1,5 +1,6 @@
 """Unit tests for prover strategies and their property validators."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -175,6 +176,23 @@ def test_enumerate_schedules_counts():
     ids = {p.prover_id for p in full}
     assert len(ids) == 9
     assert "schedule{}" in ids
+
+
+@pytest.mark.parametrize("committed_only", [False, True])
+@pytest.mark.parametrize("rounds", range(5))
+def test_enumerated_schedules_are_the_schedules_of_their_writes(
+        committed_only, rounds):
+    # the enumeration joins each prover_id from per-round parts; it must
+    # be the id MessageSchedule makes from the writes, in product order
+    alphabet = (BLANK, "a", "b")
+    options = [None, BLANK] if committed_only else [None, *alphabet]
+    want = [{t: s for t, s in enumerate(combo, start=1) if s is not None}
+            for combo in itertools.product(options, repeat=rounds)]
+    got = list(enumerate_schedules(alphabet, rounds, committed_only))
+    assert [s.writes for s in got] == want
+    for s in got:
+        plain = MessageSchedule(dict(s.writes))
+        assert (s.prover_id, s.writes) == (plain.prover_id, plain.writes)
 
 
 def test_enumerate_schedules_budget():

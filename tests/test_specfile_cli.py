@@ -434,6 +434,10 @@ def test_cli_check_csv_is_a_rule_table(tmp_path, capsys):
     (["run", "zero", "--input", "01", "--prune", "-0.5"], "--prune"),
     (["check", "zero", "--n-max", "-1"], "--n-max"),
     (["check", "zero", "--n-max", "two"], "--n-max"),
+    # tau = 1 prints p_rej>=0 for a certain rejection and tau = 2 passes
+    # every check rule vacuously: tau must lie in [0, 0.5)
+    (["run", "center", "--N", "2", "--input", "101", "--tau", "1"], "--tau"),
+    (["check", "odd", "--tau", "2"], "--tau"),
 ])
 def test_cli_rejects_out_of_range_flags(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
