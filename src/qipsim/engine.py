@@ -42,11 +42,10 @@ the verifier step's prune; a respond that merges two keys gets the
 summing round.  Any other prover's round sums its actions and prunes.
 When one configuration is live, as in every run of a branch-free
 verifier (schedule enumeration, committed schedules), a verifier step
-on a one-target row computes that target directly and a responder's
-round makes one respond call and one relabelled key.  Each gives the
-general path's one-entry result bit for bit, with the same row lookup,
+on a one-target row computes that target directly.  It gives the
+general pass's one-entry result bit for bit, with the same row lookup,
 masses, counts and checks; several configurations or targets can meet
-and are summed, so the kernel picks its path from the live size alone.
+and are summed, so the step picks its path from the live size alone.
 run_mcomp calls the kernel with no prune, projects out the non-blank
 comm and then prunes the blank-comm survivors.
 
@@ -361,14 +360,12 @@ class RunState:
         the verifier step's prune; and a verifier-step survivor holds no
         -0.0, so 0j + a * 1.0 == a.  A respond that is not injective on
         the live keys leaves fewer entries, and then the round is summed
-        with the actions already asked for.  On one configuration, as in
-        every run of a branch-free verifier, no two keys can meet: the
-        round is one _respond call and one relabelled key, with no
-        action cache and no length test; several configurations take
-        the cached relabel, since they may share a (comm, tape) pair or
-        merge.  Every other prover's amplitudes are summed as in
-        _verifier_step, then one pass keeps the entries with |a| > prune
-        and banks the rest as pruned mass.
+        with the actions already asked for.  One live configuration
+        takes this same relabel: a branch of its own gained too little
+        to tell from the noise on schedule enumeration, whose runs spend
+        their time in the verifier step.  Every other prover's
+        amplitudes are summed as in _verifier_step, then one pass keeps
+        the entries with |a| > prune and banks the rest as pruned mass.
         """
         t = self.t
         live = self.live
@@ -376,15 +373,6 @@ class RunState:
         counting = counts is not None
         actions = {}
         if acts_as_responder(prover):
-            if len(live) == 1:
-                [(key, a)] = live.items()
-                q, k, g, i = key
-                g2, i2 = self._respond(prover, t, g, i)
-                key2 = (q, k, g2, i2)
-                self.live = SparseVector({key2: a})
-                if counting:
-                    self.counts = {key2: counts[key]}
-                return
             moved = SparseVector()
             moved_counts = {}
             for key, a in live.items():

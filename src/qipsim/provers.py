@@ -99,11 +99,21 @@ class MessageSchedule(HistoryResponder):
     def __init__(self, writes, prover_id=None):
         self.writes = dict(writes)
         if prover_id is None:
-            parts = ",".join(
-                "%d:%s" % (t, s) for t, s in sorted(self.writes.items())
+            prover_id = self.id_from_parts(
+                self.round_part(t, s) for t, s in sorted(self.writes.items())
             )
-            prover_id = "schedule{%s}" % parts
         super().__init__(self._reply, prover_id=prover_id)
+
+    @staticmethod
+    def round_part(t, s):
+        """One write's part of a prover_id: round t writes s."""
+        return "%d:%s" % (t, s)
+
+    @staticmethod
+    def id_from_parts(parts):
+        """The prover_id of the schedule whose writes have these
+        round_part strings, in round order."""
+        return "schedule{%s}" % ",".join(parts)
 
     def _reply(self, round_index, comm):
         return self.writes.get(round_index, comm)
@@ -303,14 +313,16 @@ def enumerate_schedules(comm_alphabet, rounds, committed_only=False):
     family exceeds ENUMERATION_BUDGET.
 
     Each schedule's prover_id is the one MessageSchedule(writes) makes,
-    joined from per-round "t:s" parts formatted once per family: the
-    rounds come in order, so no schedule sorts or formats its writes.
+    joined from round parts formatted once per family: the rounds come
+    in order, so no schedule sorts or formats its writes.
     """
     options = schedule_options(comm_alphabet, rounds, committed_only)
-    per_round = [[None if s is None else (t, s, "%d:%s" % (t, s))
+    per_round = [[None if s is None
+                  else (t, s, MessageSchedule.round_part(t, s))
                   for s in options] for t in range(1, rounds + 1)]
     for combo in itertools.product(*per_round):
         picked = [choice for choice in combo if choice is not None]
         yield MessageSchedule(
             {t: s for t, s, _ in picked},
-            prover_id="schedule{%s}" % ",".join(part for _, _, part in picked))
+            prover_id=MessageSchedule.id_from_parts(
+                part for _, _, part in picked))
