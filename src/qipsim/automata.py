@@ -9,32 +9,32 @@ move -1/0/+1 on a circular tape.
 Tables are assembled from three row classes:
 
 - core rows: the authored protocol table (publicness is judged on these);
-- guard rows: explicit rejections filling every (live state, comm symbol)
-  hole, so unexpected comm contents halt immediately; each live state
-  with a hole gets one guard rejecting state, and (q, g) -> (rej~q, g)
-  keeps the comm symbol so the guard targets stay distinct.  A guard row
-  is fixed by its source, so it is not stored: the verifier keeps the
-  map from live state to guard state, and a move table looking up a
-  missing row of a guarded live state returns its guard row;
+- guard rows: rejections filling every (live state, comm symbol) hole,
+  so unexpected comm contents halt immediately: (q, g) -> (rej~q, g),
+  one guard rejecting state per live state with a hole.  A guard row is
+  fixed by its source, so it is not stored: the verifier keeps the map
+  from live state to guard state, and a move table looking up a missing
+  row of a guarded live state returns its guard row;
 - completion rows: a generic unitary completion on the remaining columns
   (halting-state sources), which the dynamics never reach because halting
   amplitude is measured out before the next step (measure-many
   semantics).
 
 A verifier's tables (rows, row_class, head_dir, live_moves) hold the
-rows it was given: the core rows, whose move-table lookups imply the
-guard rows.  Runs, sweeps and checks read only these.  The guard and
-completion rows are stored only in VerifierSpec.completed, a plain
-verifier built on first read and kept; the step operator and the export
-are its only readers.
+rows it was given, and runs, sweeps and checks read only these.  A
+bundle build reads each core row twice: complete_verifier's one loop
+normalizes it, resolves its head directions and counts the holes, and
+VerifierSpec's one loop validates it and builds its live_moves row.  The
+guard and completion rows are stored only in VerifierSpec.completed,
+built on first read; the step operator and the export read it.
 
 Well-formedness is the unitarity of the step operator on (state, head,
-comm).  Checks derive it from the per-symbol tables (validate_wellformed)
-and build no step operator; build_step_operator is a plain loop over the
-basis, kept as the reference those derivations are tested against; it
-returns the (row, column, amplitude) triples that the per-symbol check
-hands to linalg.isometry_defect.  The completion's orthonormal
-complements come from a plain-Python Householder QR (_complement).
+comm).  Checks derive it from the per-symbol tables (validate_wellformed),
+whose live columns go to linalg.isometry_defect as (row, column,
+amplitude) triples, and build no step operator; build_step_operator, a
+plain loop over the basis, is the reference those derivations are
+tested against.  The completion's orthonormal complements come from a
+plain-Python Householder QR (_complement).
 """
 
 import itertools
@@ -104,7 +104,9 @@ class VerifierSpec:
     row_class: {symbol: {(state, comm): "core"|"guard"|"completion"}}; a
     row with no class is core.
     live_moves: {padded symbol: MoveTable}, the rows with each target's
-    head direction attached.
+    head direction attached, built in the one loop over the rows that
+    validates them; an amplitude that is already a finite complex is not
+    converted.
     accepting_set, rejecting_set, halting_set: frozensets of the halting
     states, which the engine's step kernel tests membership in.
 
@@ -117,18 +119,15 @@ class VerifierSpec:
     explicit rows, is not completable: a missing row stays missing.
     Runs, sweeps, checks and the analyses below read only these tables:
     every row a run reads has a live source, since halting amplitude is
-    measured out in the step that reaches it.
-
-    completed is the completed verifier: a plain verifier itself, else a
-    plain VerifierSpec holding the given rows, then the guard rows, then
-    completion rows on every column those leave free.  Only the step
-    operator and the export read it.
+    measured out in the step that reaches it.  completed (the verifier
+    itself when plain, else a plain verifier of the given, guard and
+    completion rows) is read only by the step operator and the export.
 
     Facts that no input changes are cached properties, computed on
     first read and kept: completed, per_symbol_defects, announcement
-    and branching.  The tables are built once in __init__ and never
-    mutated, and completion builds a new verifier beside them, so every
-    kept fact stays valid.
+    and branching.  The tables are never mutated after __init__, and
+    completion builds a new verifier beside them, so every kept fact
+    stays valid.
     """
 
     def __init__(self, name, input_alphabet, comm_alphabet, non_halting,
@@ -143,23 +142,12 @@ class VerifierSpec:
         self.initial = initial
         self.two_way = bool(two_way)
         self.guards = None if guards is None else dict(guards)
-        self.rows = {
-            sym: dict(table) for sym, table in rows.items()
-        }
+        self.rows = {sym: dict(table) for sym, table in rows.items()}
         self.head_dir = dict(head_dir)
-        self.row_class = {
-            sym: dict(table) for sym, table in (row_class or {}).items()
-        }
+        self.row_class = {sym: dict(table)
+                          for sym, table in (row_class or {}).items()}
         self.metadata = dict(metadata or {})
-        self._validate_structure()
-        self.live_moves = {
-            sym: MoveTable(sym, {
-                key: tuple([(amp, q2, g2, self.head_dir[q2, g2])
-                            for amp, q2, g2 in targets])
-                for key, targets in self.rows.get(sym, {}).items()
-            }, self.guards, self.comm_alphabet, 0 if self.two_way else 1)
-            for sym in self.padded_alphabet
-        }
+        self.live_moves = self._validated_moves()
 
     @cached_property
     def completed(self):
@@ -199,30 +187,29 @@ class VerifierSpec:
         """{padded symbol: isometry defect of its live table}: one column
         per stored live row, in pair order, where the pair (q, g) has
         index (position of q in states) * |comm| + (position of g in
-        comm_alphabet).  A guard column is a unit vector on a target no
-        other column reaches, so leaving the guard columns out changes no
-        Gram entry the others form.  inf when a row is missing that
-        neither a guard nor completion supplies: a source of an
-        unguarded live state, or any source of a plain verifier."""
+        comm_alphabet), looked up in two plain dicts.  A guard column is
+        a unit vector on a target no other column reaches, so leaving the
+        guard columns out changes no Gram entry the others form.  inf
+        when a row is missing that neither a guard nor completion
+        supplies: a source of an unguarded live state, or any source of
+        a plain verifier."""
         defects = {}
-        state_pos = {q: i for i, q in enumerate(self.states)}
+        width = len(self.comm_alphabet)
+        row_of = {q: i * width for i, q in enumerate(self.states)}
         comm_pos = {g: i for i, g in enumerate(self.comm_alphabet)}
-        width = len(comm_pos)
-
-        def index(q, g):
-            return state_pos[q] * width + comm_pos[g]
-
         guards = self.guards
         unguarded = [(q, g) for q in self.non_halting
                      if q not in (guards or {}) for g in self.comm_alphabet]
         for sym, table in self.live_moves.items():
-            if len(table) != len(state_pos) * width and (
+            if len(table) != len(row_of) * width and (
                     guards is None or any(p not in table for p in unguarded)):
                 defects[sym] = float("inf")
                 continue
-            keys = sorted(table, key=lambda pair: index(*pair))
+            index = {key: row_of[key[0]] + comm_pos[key[1]] for key in table}
+            keys = sorted(table, key=index.__getitem__)
             defects[sym] = isometry_defect(
-                [(index(q2, g2), j, amp) for j, key in enumerate(keys)
+                [(row_of[q2] + comm_pos[g2], j, amp)
+                 for j, key in enumerate(keys)
                  for amp, q2, g2, _d in table[key]], len(keys))
         return defects
 
@@ -295,7 +282,9 @@ class VerifierSpec:
             for key, targets in table.items():
                 yield sym, key, targets, classes.get(key, CORE)
 
-    def _validate_structure(self):
+    def _validated_moves(self):
+        """Validate the declarations, then each row, building its
+        live_moves row in the same pass; return live_moves."""
         seen = set()
         for group in (self.non_halting, self.accepting, self.rejecting):
             for q in group:
@@ -307,8 +296,7 @@ class VerifierSpec:
         self.halting_set = self.accepting_set | self.rejecting_set
         if self.initial not in set(self.non_halting):
             raise ValidationError(
-                "initial state %r is not a live state" % (self.initial,)
-            )
+                "initial state %r is not a live state" % (self.initial,))
         if BLANK not in self.comm_alphabet:
             raise ValidationError("comm alphabet must contain the blank %r" % BLANK)
         if len(set(self.comm_alphabet)) != len(self.comm_alphabet):
@@ -322,31 +310,37 @@ class VerifierSpec:
         for sym in (LEFT_END, RIGHT_END):
             if sym in self.input_alphabet:
                 raise ValidationError(
-                    "input alphabet may not contain endmarker %r" % sym
-                )
-        comm_set = set(self.comm_alphabet)
-        padded = set(self.padded_alphabet)
+                    "input alphabet may not contain endmarker %r" % sym)
+        comm_set = frozenset(self.comm_alphabet)
+        head_dir, finite = self.head_dir, math.isfinite
+        moves = {sym: MoveTable(sym, (), self.guards, comm_set,
+                                0 if self.two_way else 1)
+                 for sym in self.padded_alphabet}
         targeted = set()
         for sym, table in self.rows.items():
-            if sym not in padded:
+            if sym not in moves:
                 raise ValidationError("transition table for unknown symbol %r" % sym)
+            live = moves[sym]
             for (q, g), targets in table.items():
                 if q not in seen or g not in comm_set:
-                    raise ValidationError(
-                        "transition source (%r, %r) references unknown ids" % (q, g)
-                    )
+                    raise ValidationError("transition source (%r, %r) "
+                                          "references unknown ids" % (q, g))
+                row = []
                 for amp, q2, g2 in targets:
                     targeted.add(q2)
-                    ensure_finite(amp, "amplitude at (%r, %r, %r)" % (sym, q, g))
+                    if not (type(amp) is complex and finite(amp.real)
+                            and finite(amp.imag)):
+                        ensure_finite(amp, "amplitude at (%r, %r, %r)"
+                                      % (sym, q, g))
                     if q2 not in seen or g2 not in comm_set:
                         raise ValidationError(
-                            "transition target (%r, %r) references unknown ids"
-                            % (q2, g2)
-                        )
-                    if (q2, g2) not in self.head_dir:
-                        raise ValidationError(
-                            "no head direction for target (%r, %r)" % (q2, g2)
-                        )
+                            "transition target (%r, %r) references unknown "
+                            "ids" % (q2, g2))
+                    if (q2, g2) not in head_dir:
+                        raise ValidationError("no head direction for target "
+                                              "(%r, %r)" % (q2, g2))
+                    row.append((amp, q2, g2, head_dir[q2, g2]))
+                live[q, g] = tuple(row)
         self._validate_guards(targeted)
         if "suggested_max_steps" in self.metadata:
             hint = self.metadata["suggested_max_steps"]
@@ -354,18 +348,17 @@ class VerifierSpec:
                 raise ValidationError(
                     "metadata suggested_max_steps must be an integer >= 1 or "
                     "{\"per_cell\": a, \"base\": b} with integers a, b >= 0, "
-                    "not both 0; got %r" % (hint,)
-                )
+                    "not both 0; got %r" % (hint,))
         for pair, d in self.head_dir.items():
             if self.two_way:
                 if d not in (-1, 0, 1):
                     raise ValidationError(
-                        "head direction %r out of range at %r" % (d, pair)
-                    )
+                        "head direction %r out of range at %r" % (d, pair))
             elif d != 1:
                 raise ValidationError(
-                    "one-way verifier must move right; got %r at %r" % (d, pair)
-                )
+                    "one-way verifier must move right; got %r at %r"
+                    % (d, pair))
+        return moves
 
     def _validate_guards(self, targeted):
         """Refuse a guard map whose keys are not live states, or whose
@@ -427,30 +420,12 @@ def public_symbol(verifier, state, comm_written=None):
 # -- table completion ----------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, a):
-        p = self.parent.setdefault(a, a)
-        while p != a:
-            self.parent[a] = p = self.parent.setdefault(p, p)
-            a = p
-            p = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def target_dirs(row_targets, head_dir, two_way):
-    """{(state, comm): direction} for every target of row_targets (the
-    target tuples of each row, read in order): its per-target entry in
-    head_dir, else its state's per-state entry, else +1 when one-way;
+def target_dirs(row_targets, head_dir, two_way, resolved=None):
+    """resolved (a new dict when None) with {(state, comm): direction} for
+    every target of row_targets, rows read in order: its per-target entry
+    in head_dir, else its state's per-state entry, else +1 when one-way;
     else ValidationError, for the first target that has none."""
-    resolved = {}
+    resolved = {} if resolved is None else resolved
     for targets in row_targets:
         for _, state, comm in targets:
             if (state, comm) in resolved:
@@ -475,19 +450,22 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
 
     head_dir may mix per-state entries (state -> direction) with
     per-target entries ((state, comm) -> direction); the latter win.
-    Every uncovered (live state, comm) pair is guarded: one fresh
-    rejecting state rej~q per live state q with a hole (primed on a name
-    clash), handed to the VerifierSpec as guards={q: rej~q}, implies the
-    guard row (q, g) -> (rej~q, g).  Guard targets of one state differ
-    in g and those of different states differ in state, so each
-    per-symbol table stays injective on them.  No guard row is stored:
-    the verifier's rows are the core rows, with no row_class (each row
-    reads as core).  The returned verifier is completable: its
-    completed verifier, built on first read, holds the guard rows and a
-    generic unitary completion of the remaining (halting-source) columns
-    (identity-preferring, then orthonormal complements of partially used
-    target blocks).  The per-symbol check of the live columns is made
-    before returning.
+    One loop reads each core row once, symbol by symbol: it normalizes
+    the row's amplitudes to finite complex numbers, resolves its
+    targets' directions (so a row's fault is raised before a later
+    row's) and counts the row against its source state.  A live state q
+    with fewer rows than |comm| * |padded alphabet| has a hole and gets
+    one fresh rejecting guard state rej~q (primed on a name clash),
+    handed to the VerifierSpec as guards={q: rej~q}: it implies, and no
+    table stores, the guard row (q, g) -> (rej~q, g).  Guard targets of
+    one state differ in g and those of different states differ in
+    state, so each per-symbol table stays injective on them.  The
+    verifier's rows are the core rows, with no row_class (each reads as
+    core); its completed verifier, built on first read, adds the guard
+    rows and a generic unitary completion of the remaining
+    (halting-source) columns (identity-preferring, then orthonormal
+    complements of partially used target blocks).  The per-symbol check
+    of the live columns is made before returning.
     """
     comm_alphabet = tuple(comm_alphabet)
     non_halting = tuple(non_halting)
@@ -500,24 +478,22 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
             raise ValidationError(
                 "transition table for unknown symbol %r" % (sym,))
 
-    rows = {sym: {} for sym in padded}
+    rows, resolved_dir = {}, {}
+    counts = dict.fromkeys(non_halting, 0)
+    for sym in padded:
+        table = rows[sym] = {}
+        for key, targets in core_rows.get(sym, {}).items():
+            table[key] = tuple([(ensure_finite(amp), q2, g2)
+                                for amp, q2, g2 in targets])
+            target_dirs((table[key],), head_dir, two_way, resolved_dir)
+            if key[0] in counts:
+                counts[key[0]] += 1
 
-    def normalized():
-        # each core row's targets, normalized, before the next row is
-        # read: a row's directions are resolved before later amplitudes
-        for sym in padded:
-            for key, targets in core_rows.get(sym, {}).items():
-                rows[sym][key] = tuple(
-                    (ensure_finite(amp), q2, g2) for amp, q2, g2 in targets
-                )
-                yield rows[sym][key]
-
-    resolved_dir = target_dirs(normalized(), head_dir, two_way)
-
-    # one fresh rejecting guard state per live state with a hole
+    # one fresh rejecting guard state per live state with a hole (a table
+    # that miscounts, say by an unknown comm symbol, the VerifierSpec refuses)
     guards = {}
     for q in non_halting:
-        if all((q, g) in rows[sym] for g in comm_alphabet for sym in padded):
+        if counts[q] == len(comm_alphabet) * len(padded):
             continue
         fresh = "rej~%s" % (q,)
         while fresh in state_set:
@@ -532,13 +508,11 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
         name=name, input_alphabet=input_alphabet, comm_alphabet=comm_alphabet,
         non_halting=non_halting, accepting=accepting, rejecting=rejecting,
         initial=initial, two_way=two_way, rows=rows, head_dir=resolved_dir,
-        metadata=meta, guards=guards,
-    )
+        metadata=meta, guards=guards)
     report = validate_wellformed(spec, tau=tau)
     if not report.ok:
         raise ValidationError(
-            "table completion failed unitarity: %s" % report.summary()
-        )
+            "table completion failed unitarity: %s" % report.summary())
     return spec
 
 
@@ -551,20 +525,15 @@ def _complete_symbol(table, classes, all_states, comm_alphabet,
     of the partially used target blocks (the columns _complement adds to
     each block's columns), then the unused targets as unit vectors.
     """
-    all_pairs = [
-        (q, g) for q in all_states for g in comm_alphabet
-    ]
-    used_targets = set()
-    for targets in table.values():
-        for _, q2, g2 in targets:
-            used_targets.add((q2, g2))
-    free_sources = [p for p in all_pairs if p not in table]
-    free_targets = [p for p in all_pairs if p not in used_targets]
+    all_pairs = [(q, g) for q in all_states for g in comm_alphabet]
+    free_target_set = set(all_pairs).difference(
+        (q2, g2) for targets in table.values() for _, q2, g2 in targets)
 
     # identity-preferring pass
     remaining_sources = []
-    free_target_set = set(free_targets)
-    for p in free_sources:
+    for p in all_pairs:
+        if p in table:
+            continue
         if p in free_target_set:
             table[p] = ((1.0, p[0], p[1]),)
             classes[p] = COMPLETION
@@ -575,32 +544,35 @@ def _complete_symbol(table, classes, all_states, comm_alphabet,
     if not remaining_sources:
         return
 
-    # group used targets into blocks connected through shared-support rows
-    uf = _UnionFind()
+    # group used targets into blocks connected through shared-support
+    # rows: a union-find forest, each row joining its targets' trees
+    parent = {}
+
+    def find(a):
+        while parent.setdefault(a, a) != a:
+            a = parent[a]
+        return a
+
     for targets in table.values():
         support = [(q2, g2) for _, q2, g2 in targets]
         for a, b in zip(support, support[1:]):
-            uf.union(a, b)
-        for a in support:
-            uf.find(a)
-    blocks = {}
+            parent[find(b)] = find(a)
+    blocks = {}  # root -> (its block's targets, the rows reaching them)
     for targets in table.values():
         support = [(q2, g2) for _, q2, g2 in targets]
-        root = uf.find(support[0])
-        blocks.setdefault(root, {"targets": set(), "columns": []})
-        blocks[root]["targets"].update(support)
-        blocks[root]["columns"].append(targets)
+        block = blocks.setdefault(find(support[0]), (set(), []))
+        block[0].update(support)
+        block[1].append(targets)
 
     complement_vectors = []  # list of lists of (amp, q2, g2)
-    for root in sorted(blocks, key=lambda p: repr(p)):
-        block = blocks[root]
-        tgt = sorted(block["targets"], key=lambda p: (repr(p[0]), repr(p[1])))
-        ncols = len(block["columns"])
-        if len(tgt) == ncols:
+    for root in sorted(blocks, key=repr):
+        block_targets, block_rows = blocks[root]
+        tgt = sorted(block_targets, key=lambda p: (repr(p[0]), repr(p[1])))
+        if len(tgt) == len(block_rows):
             continue
         t_index = {p: i for i, p in enumerate(tgt)}
         columns = []
-        for targets in sorted(block["columns"], key=repr):
+        for targets in sorted(block_rows, key=repr):
             column = [0j] * len(tgt)
             for amp, q2, g2 in targets:
                 column[t_index[q2, g2]] += amp
@@ -616,10 +588,9 @@ def _complete_symbol(table, classes, all_states, comm_alphabet,
     if len(remaining_sources) != len(complement_vectors):
         raise ValidationError(
             "completion bookkeeping mismatch: %d free sources vs %d free targets"
-            % (len(remaining_sources), len(complement_vectors))
-        )
+            % (len(remaining_sources), len(complement_vectors)))
     for p, vec in zip(sorted(remaining_sources, key=repr), complement_vectors):
-        table[p] = tuple((amp, q2, g2) for amp, q2, g2 in vec)
+        table[p] = tuple(vec)
         classes[p] = COMPLETION
         for _, q2, g2 in vec:
             resolved_dir.setdefault((q2, g2), 0 if two_way else 1)
@@ -737,14 +708,13 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
     reported as well; they are derived, not built, and never exceed the
     worst per-symbol defect, so `qipsim check` lists none.  The tests
     hold each derived defect equal to isometry_defect of
-    build_step_operator's entries.  Head
-    movement is a function of the target pair, so the step operator is a
-    permutation times a block diagonal of the per-symbol tables of the
-    tape's cells.
-    Its Gram matrix is therefore block diagonal with the per-symbol Gram
-    matrices as blocks, and an input's defect is the largest per-symbol
-    defect over the symbols on its tape (inf when one is inf).  ok is
-    every defect <= tau.
+    build_step_operator's entries.  Head movement is a function of the
+    target pair, so the step operator is a permutation times a block
+    diagonal of the per-symbol tables of the tape's cells.  Its Gram
+    matrix is therefore block diagonal with the per-symbol Gram matrices
+    as blocks, and an input's defect is the largest per-symbol defect
+    over the symbols on its tape (inf when one is inf).  ok is every
+    defect <= tau.
     """
     per_symbol = dict(verifier.per_symbol_defects)
     per_input = {

@@ -71,22 +71,32 @@ def _tau_round(p, tau):
 
 
 def resolve_spec(token):
-    """Load a spec from a path, or fall back to the bundled spec files."""
+    """Load a spec from a file, else a bundled spec (".spec" may be left
+    off; importlib.resources finds their directory once per process),
+    else whatever else the path names, whose read error then names it:
+    a directory named like a bundled spec does not hide that spec."""
     path = Path(token)
-    if path.exists():
+    if path.is_file():
         return load_spec(path)
     base = token if token.endswith(".spec") else token + ".spec"
     try:
-        res = resources.files("qipsim").joinpath("specs").joinpath(base)
+        res = _bundled_specs().joinpath(base)
         if res.is_file():
             return parse_spec(res.read_text(encoding="utf-8"),
                               source="qipsim:specs/%s" % base)
     except (ImportError, OSError):
         pass
+    if path.exists():
+        return load_spec(path)
     raise ParseError(
         "spec %r not found: no such file and no bundled spec %r"
         % (token, base)
     )
+
+
+@functools.cache
+def _bundled_specs():
+    return resources.files("qipsim").joinpath("specs")
 
 
 def instantiate(loaded, branches=None):

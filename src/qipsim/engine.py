@@ -851,6 +851,7 @@ class FamilySweep:
 
 def sweep_family(verifier, x, provers, cfg=None):
     """Run each prover in the family; report the worst-case acceptance.
+    A prover equal to an earlier one (see MessageSchedule) reuses its row.
 
     Raises EngineError for an empty family, which has no worst case.
     """
@@ -858,10 +859,10 @@ def sweep_family(verifier, x, provers, cfg=None):
     provers = list(provers)
     if not provers:
         raise EngineError("empty prover family: no run gives a worst case")
-    rows = []
-    best_upper = 0.0
+    runs = {}
     for prover in provers:
-        result = run_protocol(verifier, x, prover, cfg)
-        rows.append(result)
-        best_upper = max(best_upper, result.acceptance_bounds[1])
+        if prover not in runs:
+            runs[prover] = run_protocol(verifier, x, prover, cfg)
+    rows = [runs[prover] for prover in provers]
+    best_upper = max(0.0, *(result.acceptance_bounds[1] for result in rows))
     return FamilySweep(input=x, best_upper=best_upper, rows=rows)

@@ -8,6 +8,7 @@ sequence of equal-length rows.
 
 import math
 import numbers
+from collections import defaultdict
 from collections.abc import Sequence
 
 from .errors import LinalgError
@@ -122,27 +123,49 @@ def isometry_defect(entries, n_cols):
     entries are the given (row, column, value) triples.
 
     A (row, column) pair given twice is summed in the order given.  Each
-    Gram entry sums conj(a) * b over the rows in increasing row order,
-    so every caller gets the same bits for the same matrix.  A Gram
-    diagonal entry that no row forms is 0, so its defect is 1.  A nan
-    anywhere makes the defect nan, as numpy's max would.
+    Gram entry has one accumulator and sums conj(a) * b over the rows in
+    increasing row order, so every caller gets the same bits for the
+    same matrix.  A row with one entry adds to its column's diagonal
+    directly; the columns of wider rows share one block, dense when
+    those rows form at least as many terms as it has entries (as a
+    Fourier mixing block does), else a dict per column.  A diagonal
+    entry no row forms is 0, so its defect is 1.  A nan anywhere makes
+    the defect nan, as numpy's max would.
     """
     by_row = {}
     for row, col, value in entries:
         cells = by_row.setdefault(row, {})
         cells[col] = cells[col] + value if col in cells else value
-    gram = {}
+    # slot[j]: column j of a wider row: its Gram row, and j's key there
+    wide = [cells for cells in by_row.values() if len(cells) > 1]
+    block = dict.fromkeys(j for cells in wide for j in cells)
+    if sum(len(cells) ** 2 for cells in wide) >= len(block) ** 2:
+        gram = [[0j] * len(block) for _ in block]
+        slot = {j: (gram[p], p) for p, j in enumerate(block)}
+    else:
+        slot = {j: (defaultdict(complex), j) for j in block}
+    diag = {}
     for row in sorted(by_row):
         cells = by_row[row].items()
-        for i, a in cells:
+        if len(cells) == 1:
+            (i, a), = cells
+            if i not in slot:
+                z = a.conjugate() * a
+                diag[i] = diag[i] + z if i in diag else z
+                continue
+        cells = [(slot[j], b) for j, b in cells]
+        for (g, _), a in cells:
             a = a.conjugate()
-            for j, b in cells:
-                gram[i, j] = gram[i, j] + a * b if (i, j) in gram else a * b
-    deviations = [abs(z - (i == j)) for (i, j), z in gram.items()]
+            for (_, k), b in cells:
+                g[k] += a * b
+    deviations = [abs(z - 1) for z in diag.values()]
+    for g, k in slot.values():
+        pairs = g.items() if isinstance(g, dict) else enumerate(g)
+        deviations += [abs(z - (q == k)) for q, z in pairs]
     defect = float(max(deviations, default=0.0))
     if any(map(math.isnan, deviations)):
         defect = math.nan
-    if sum(i == j for i, j in gram) < n_cols:
+    if len(diag) + len(slot) < n_cols:
         defect = max(defect, 1.0)
     return defect
 

@@ -78,7 +78,7 @@ class HistoryResponder(Prover):
 
 class IdentityProver(HistoryResponder):
     """Does nothing: writes back the comm symbol it read and logs nothing,
-    so the comm cell and the history stay untouched.
+    so the comm cell and the history stay untouched.  All are equal.
     """
 
     def __init__(self):
@@ -87,13 +87,20 @@ class IdentityProver(HistoryResponder):
     def respond(self, round_index, comm):
         return comm, None
 
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(type(self))
+
 
 class MessageSchedule(HistoryResponder):
     """Fixed per-round writes; rounds absent from the schedule leave comm.
 
     writes maps round index -> symbol to place in the comm cell (the
     blank symbol erases).  Observation logging keeps the action a
-    permutation even on superposed comm contents.
+    permutation even on superposed comm contents.  Two schedules of one
+    type are equal when their writes and prover_id are.
     """
 
     def __init__(self, writes, prover_id=None):
@@ -117,6 +124,13 @@ class MessageSchedule(HistoryResponder):
 
     def _reply(self, round_index, comm):
         return self.writes.get(round_index, comm)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (
+            (other.writes, other.prover_id) == (self.writes, self.prover_id))
+
+    def __hash__(self):
+        return hash(self.prover_id)
 
 
 class ExplicitRoundProver(Prover):

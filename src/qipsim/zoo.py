@@ -6,13 +6,14 @@ the interference-based two-way protocols) a parameterized adversary
 family that realizes the worst case.
 """
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
 
 from .automata import (
     BLANK, LEFT_END, RIGHT_END, OneRfaSpec, TwoNpfaSpec, complete_verifier,
-    direction_symbol, first_option_chooser, run_1rfa,
+    direction_symbol, first_option_chooser, padded_input, run_1rfa,
     validate_1rfa_reversible, validate_2npfa_normalized,
 )
 from .errors import BudgetError, ValidationError
@@ -157,17 +158,11 @@ def rfa_embedding(machine, name=None):
     """
     validate_1rfa_reversible(machine)
     live = machine.non_halting
-    mismatch = {}
-    rej = list(machine.rejecting)
-    for p in live:
-        for q in machine.states:
-            if q != p:
-                m = "mis~%s~%s" % (p, q)
-                mismatch[(p, q)] = m
-                rej.append(m)
+    mismatch = {(p, q): "mis~%s~%s" % (p, q)
+                for p in live for q in machine.states if q != p}
+    rej = list(machine.rejecting) + list(mismatch.values())
     comm = (BLANK,) + tuple(machine.states) + tuple(
-        mismatch[k] for k in sorted(mismatch)
-    )
+        mismatch[k] for k in sorted(mismatch))
     core = {sym: {} for sym in machine.padded_alphabet}
     q2 = machine.delta[(machine.initial, LEFT_END)]
     core[LEFT_END][(machine.initial, BLANK)] = ((1.0, q2, q2),)
@@ -277,17 +272,12 @@ def npfa_embedding(machine, name=None, chooser=None):
                 echo = direction_symbol(hat, d)
                 core[sym][(hat, direction_symbol(q2, d))] = ((1.0, q2, echo),)
                 head_dir[(q2, echo)] = d
-    comm = [BLANK, QUERY_MARK]
-    for targets in core.values():
-        for row in targets.values():
-            for _, _, g2 in row:
-                if g2 not in comm:
-                    comm.append(g2)
-    for opts in machine.choice.values():
-        for q2, d in opts:
-            s = direction_symbol(q2, d)
-            if s not in comm:
-                comm.append(s)
+    comm = list(dict.fromkeys(
+        [BLANK, QUERY_MARK]
+        + [g2 for table in core.values() for row in table.values()
+           for _, _, g2 in row]
+        + [direction_symbol(q2, d) for opts in machine.choice.values()
+           for q2, d in opts]))
 
     verifier = complete_verifier(
         name=name or ("npfa~" + machine.name),
@@ -307,11 +297,7 @@ def npfa_embedding(machine, name=None, chooser=None):
     def honest(x):
         answers = _witness_rounds(machine, x, chooser)
         def reply(t, g):
-            if g == BLANK:
-                return BLANK
-            if g == QUERY_MARK and t in answers:
-                return answers[t]
-            return BLANK
+            return answers.get(t, BLANK) if g == QUERY_MARK else BLANK
         return HistoryResponder(reply, prover_id="witness")
 
     return ProtocolBundle(
@@ -332,7 +318,6 @@ def _witness_rounds(machine, x, chooser):
     step must be kind-uniform (all coins or all choices) and choice steps
     must agree on the option, because one reply reaches every branch.
     """
-    from .automata import padded_input
     tape = padded_input(x, machine.input_alphabet)
     length = len(tape)
     live = {(machine.initial, 0)}
@@ -350,16 +335,10 @@ def _witness_rounds(machine, x, chooser):
             )
         if kinds.pop():
             v_step += 1
-            nxt = set()
-            for (q, k) in live:
-                a, b = machine.coin[(q, tape[k])]
-                nxt.add((a, (k + 1) % length))
-                nxt.add((b, (k + 1) % length))
-            live = nxt
+            live = {(q2, (k + 1) % length) for q, k in live
+                    for q2 in machine.coin[(q, tape[k])]}
         else:
-            opts = {
-                chooser(t, q, k, tape[k]) for (q, k) in live
-            }
+            opts = {chooser(t, q, k, tape[k]) for (q, k) in live}
             if len(opts) != 1:
                 raise ValidationError(
                     "chooser is not branch-uniform at step %d; supply an "
@@ -375,9 +354,8 @@ def _witness_rounds(machine, x, chooser):
 
 def coin_npfa():
     """Purely probabilistic machine: one fair coin, then halt."""
-    coin = {}
-    for sym in (LEFT_END, "0", "1", RIGHT_END):
-        coin[("flip", sym)] = ("yes", "no")
+    coin = {("flip", sym): ("yes", "no")
+            for sym in (LEFT_END, "0", "1", RIGHT_END)}
     return TwoNpfaSpec(
         name="coin", input_alphabet=("0", "1"), coin_states=("flip",),
         choice_states=(), accepting=("yes",), rejecting=("no",),
@@ -668,12 +646,9 @@ def equal_blocks_protocol(branches=2):
             for l in range(1, n_b + 1)
         )
 
-    comm = [BLANK]
-    for table in core.values():
-        for row in table.values():
-            for _, _, g2 in row:
-                if g2 not in comm:
-                    comm.append(g2)
+    comm = list(dict.fromkeys([BLANK] + [
+        g2 for table in core.values() for row in table.values()
+        for _, _, g2 in row]))
 
     verifier = complete_verifier(
         name="equal_blocks", input_alphabet=("0", "1"), comm_alphabet=comm,
@@ -793,6 +768,12 @@ BUNDLES = {
 }
 
 
+@functools.cache
+def _param_names(factory):
+    """The names of factory's parameters, read once per factory."""
+    return tuple(inspect.signature(factory).parameters)
+
+
 def make_bundle(name, params=None):
     """Instantiate a registered protocol bundle by name.
 
@@ -804,7 +785,7 @@ def make_bundle(name, params=None):
             "unknown bundle %r; known: %s" % (name, ", ".join(sorted(BUNDLES)))
         )
     params = params or {}
-    reads = list(inspect.signature(BUNDLES[name]).parameters)
+    reads = list(_param_names(BUNDLES[name]))
     unread = sorted(set(params) - set(reads))
     if unread:
         raise ValidationError(

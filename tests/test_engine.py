@@ -453,6 +453,51 @@ def test_sweep_family_reports_worst_case():
         assert result.interactions is not None
 
 
+def test_sweep_family_runs_each_distinct_prover_once(monkeypatch):
+    center = make_bundle("center", {"branches": 2})
+    x = "100"
+    mark = center.honest_prover(x)
+    family = [mark, IdentityProver(), *center.adversary_family(x),
+              MessageSchedule(dict(mark.writes), prover_id=mark.prover_id),
+              IdentityProver()]
+    want = [run_protocol(center.verifier, x, p) for p in family]
+    runs = []
+    monkeypatch.setattr(engine, "run_protocol", lambda *args: runs.append(
+        args[2]) or run_protocol(*args))
+    sweep = sweep_family(center.verifier, x, family)
+    # the honest prover is the family's mark@2, so the four distinct
+    # provers are identity and mark@1..3
+    assert len(runs) == 4
+    assert [r.prover_id for r in runs] == ["mark@2", "identity", "mark@1",
+                                           "mark@3"]
+    assert len(sweep.rows) == len(family)
+    for got, ran in zip(sweep.rows, want):
+        ran.wallclock = got.wallclock
+        assert got == ran
+    assert sweep.rows[1] is sweep.rows[2] is sweep.rows[-1]
+    uppers = [r.acceptance_bounds[1] for r in want]
+    assert sweep.best_upper == max(uppers)
+    assert sweep.witness is sweep.rows[uppers.index(max(uppers))]
+
+
+def test_identity_provers_and_equal_schedules_compare_equal():
+    assert IdentityProver() == IdentityProver()
+    assert hash(IdentityProver()) == hash(IdentityProver())
+    one = MessageSchedule({3: "a", 4: BLANK}, prover_id="p")
+    same = MessageSchedule({4: BLANK, 3: "a"}, prover_id="p")
+    assert one == same and hash(one) == hash(same)
+    assert MessageSchedule({3: "a"}) == MessageSchedule({3: "a"})
+    for other in (MessageSchedule({3: "a", 4: BLANK}, prover_id="q"),
+                  MessageSchedule({3: "b", 4: BLANK}, prover_id="p"),
+                  MessageSchedule({3: "a"}, prover_id="p"),
+                  IdentityProver(),
+                  HistoryResponder(lambda t, g: g, prover_id="p")):
+        assert one != other and other != one
+    # leave-all and identity act alike on the comm cell but log
+    # differently, so they stay two provers
+    assert MessageSchedule({}, prover_id="identity") != IdentityProver()
+
+
 def test_sweep_family_refuses_an_empty_family():
     # an empty family has no worst case and no witness run
     center = make_bundle("center", {"branches": 2})

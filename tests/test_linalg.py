@@ -242,3 +242,95 @@ def test_isometry_defect_of_the_fourier_matrix(n):
 def test_isometry_defect_keeps_a_nan():
     # the nan entry is read after the exact one, and still wins
     assert math.isnan(isometry_defect([(0, 0, 1.0), (1, 1, math.nan)], 2))
+
+
+def _dict_gram_defect(entries, n_cols):
+    """A test-local copy of the dict Gram that isometry_defect's direct
+    path and dense block replaced: every Gram term goes to a dict keyed
+    by (i, j), starting from the first term, rows in increasing order."""
+    by_row = {}
+    for row, col, value in entries:
+        cells = by_row.setdefault(row, {})
+        cells[col] = cells[col] + value if col in cells else value
+    gram = {}
+    for row in sorted(by_row):
+        cells = by_row[row].items()
+        for i, a in cells:
+            a = a.conjugate()
+            for j, b in cells:
+                gram[i, j] = gram[i, j] + a * b if (i, j) in gram else a * b
+    deviations = [abs(z - (i == j)) for (i, j), z in gram.items()]
+    defect = float(max(deviations, default=0.0))
+    if any(map(math.isnan, deviations)):
+        defect = math.nan
+    if sum(i == j for i, j in gram) < n_cols:
+        defect = max(defect, 1.0)
+    return defect
+
+
+_PARTS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from((0.0, -0.0, 1.0, math.nan, math.inf)),
+)
+_VALUES = st.one_of(
+    _PARTS, st.builds(complex, _PARTS, _PARTS),
+    st.sampled_from((0j, complex(-0.0, -0.0), 1 + 0j, complex(0, math.nan))),
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(entries, n_cols): random (row, column, value) triples, a pair
+    sometimes repeated, plus sometimes a block of wide rows over shared
+    columns (the Fourier mixing block's shape) or a chain of two-entry
+    rows (too sparse for a dense block)."""
+    n_cols = draw(st.integers(0, 7))
+    cell = st.tuples(st.integers(0, 9), st.integers(0, max(n_cols, 1) - 1))
+    entries = [(r, c, draw(_VALUES)) for r, c in draw(st.lists(cell))]
+    if entries and draw(st.booleans()):
+        entries.append(draw(st.sampled_from(entries))[:2] + (draw(_VALUES),))
+    shape = draw(st.sampled_from(("none", "block", "chain")))
+    if shape == "block" and n_cols >= 2:
+        cols = draw(st.lists(st.integers(0, n_cols - 1), min_size=2,
+                             unique=True))
+        for r in draw(st.lists(st.integers(0, 12), min_size=1, unique=True)):
+            entries += [(r, c, draw(_VALUES)) for c in cols]
+    elif shape == "chain":
+        for c in range(n_cols - 1):
+            entries += [(20 + c, c, draw(_VALUES)),
+                        (20 + c, c + 1, draw(_VALUES))]
+    return draw(st.permutations(entries)), n_cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_isometry_defect_keeps_the_dict_grams_bits(matrix):
+    entries, n_cols = matrix
+    assert (repr(isometry_defect(entries, n_cols))
+            == repr(_dict_gram_defect(entries, n_cols)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_isometry_defect_paths_keep_the_dict_grams_bits(n):
+    # a Fourier block beside one-entry rows (the dense block and the
+    # direct path), a chain of two-entry rows (one dict per column), and
+    # the Fourier block with a zero and a nan stored in it
+    u = make_qft(n)
+    fourier = [(r, c, z) for r, row in enumerate(u) for c, z in enumerate(row)]
+    ones = [(n + k, n + k, 1.0 + 0j) for k in range(3)]
+    chain = [(k + c, c, s) for c in range(n + 3)
+             for k, s in ((0, 0.6 + 0.8j), (1, 0.8))]
+    stored = fourier + [(0, 0, 0.0), (n - 1, n - 1, complex(math.nan, 0))]
+    # one-entry rows on the block's columns before and after it: each
+    # diagonal sum of 1 and s^2 terms rounds differently in another order
+    # (s * s is just above, then just below 2**-53)
+    around = [[(-1 - c, c, first) for c in range(n)]
+              + [(r, c, s * z) for r, c, z in fourier]
+              + [(n + 9 + c, c, last) for c in range(n)]
+              for s in (1.0536712127723509e-08, 1.05367121e-08)
+              for first, last in ((1.0, s), (s, 1.0))]
+    for entries in (fourier + ones, ones + fourier[::-1], chain, stored,
+                    *around):
+        for n_cols in (n, n + 3, n + 4):
+            assert (repr(isometry_defect(entries, n_cols))
+                    == repr(_dict_gram_defect(entries, n_cols)))

@@ -313,6 +313,29 @@ def test_resolve_spec_missing_token():
         resolve_spec("no-such-protocol")
 
 
+def test_a_directory_does_not_hide_the_bundled_spec_of_its_name(
+        tmp_path, monkeypatch, capsys):
+    assert main(["check", "odd"]) == 0
+    want = capsys.readouterr().out
+    (tmp_path / "odd").mkdir()
+    (tmp_path / "zero.spec").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "odd"]) == 0
+    assert capsys.readouterr().out == want
+    assert resolve_spec("zero.spec") == resolve_spec("zero")
+    # a file of that name is still read in place of the bundled spec
+    (tmp_path / "rfa_parity").write_text(
+        serialize_spec(resolve_spec("toy_explicit").document),
+        encoding="utf-8")
+    in_place = resolve_spec("rfa_parity")
+    assert in_place.source == "rfa_parity"
+    assert in_place == resolve_spec("toy_explicit")
+    # a directory with no bundled spec of its name is read, and refused
+    (tmp_path / "nowhere").mkdir()
+    with pytest.raises(ParseError, match="nowhere: Is a directory"):
+        resolve_spec("nowhere")
+
+
 def test_toy_explicit_accepts_odd_parity_inputs():
     bundle = resolve_spec("toy_explicit").make()
     for x in ("", "0", "1", "01", "11", "101", "110"):
@@ -793,8 +816,9 @@ def _count_calls(monkeypatch, module, name):
 SWEEP_RUNS = {
     # leave-all and identity once per input
     "equal_blocks": 30,
-    # honest, identity and one mark schedule per cell, per input
-    "center": 13,
+    # identity and one mark schedule per cell, per input; the honest
+    # prover is the centred mark schedule, whose row is reused
+    "center": 10,
     # the DP's optimal schedule once per input
     "odd": 15,
 }
