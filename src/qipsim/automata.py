@@ -9,32 +9,35 @@ move -1/0/+1 on a circular tape.
 Tables are assembled from three row classes:
 
 - core rows: the authored protocol table (publicness is judged on these);
-- guard rows: rejections filling every (live state, comm symbol) hole,
-  so unexpected comm contents halt immediately: (q, g) -> (rej~q, g),
-  one guard rejecting state per live state with a hole.  A guard row is
-  fixed by its source, so it is not stored: the verifier keeps the map
-  from live state to guard state, and a move table looking up a missing
-  row of a guarded live state returns its guard row;
+- guard rows: explicit rejections filling every (live state, comm symbol)
+  hole, so unexpected comm contents halt immediately; each live state
+  with a hole gets one guard rejecting state, and (q, g) -> (rej~q, g)
+  keeps the comm symbol so the guard targets stay distinct.  A guard row
+  is fixed by its source, so it is not stored: the verifier keeps the
+  map from live state to guard state, and a move table looking up a
+  missing row of a guarded live state returns its guard row;
 - completion rows: a generic unitary completion on the remaining columns
   (halting-state sources), which the dynamics never reach because halting
   amplitude is measured out before the next step (measure-many
   semantics).
 
 A verifier's tables (rows, row_class, head_dir, live_moves) hold the
-rows it was given, and runs, sweeps and checks read only these.  A
-bundle build reads each core row twice: complete_verifier's one loop
-normalizes it, resolves its head directions and counts the holes, and
-VerifierSpec's one loop validates it and builds its live_moves row.  The
-guard and completion rows are stored only in VerifierSpec.completed,
-built on first read; the step operator and the export read it.
+rows it was given: the core rows, whose move-table lookups imply the
+guard rows.  Runs, sweeps and checks read only these.  A bundle build
+reads each core row twice: complete_verifier's one loop normalizes it,
+resolves its head directions and counts the holes, and VerifierSpec's
+one loop validates it and builds its live_moves row.  The guard and
+completion rows are stored only in VerifierSpec.completed, a plain
+verifier built on first read and kept; the step operator and the export
+are its only readers.
 
 Well-formedness is the unitarity of the step operator on (state, head,
-comm).  Checks derive it from the per-symbol tables (validate_wellformed),
-whose live columns go to linalg.isometry_defect as (row, column,
-amplitude) triples, and build no step operator; build_step_operator, a
-plain loop over the basis, is the reference those derivations are
-tested against.  The completion's orthonormal complements come from a
-plain-Python Householder QR (_complement).
+comm).  Checks derive it from the per-symbol tables (validate_wellformed)
+and build no step operator; build_step_operator is a plain loop over the
+basis, kept as the reference those derivations are tested against; it
+returns the (row, column, amplitude) triples that the per-symbol check
+hands to linalg.isometry_defect.  The completion's orthonormal
+complements come from a plain-Python Householder QR (_complement).
 """
 
 import itertools
@@ -119,15 +122,18 @@ class VerifierSpec:
     explicit rows, is not completable: a missing row stays missing.
     Runs, sweeps, checks and the analyses below read only these tables:
     every row a run reads has a live source, since halting amplitude is
-    measured out in the step that reaches it.  completed (the verifier
-    itself when plain, else a plain verifier of the given, guard and
-    completion rows) is read only by the step operator and the export.
+    measured out in the step that reaches it.
+
+    completed is the completed verifier: a plain verifier itself, else a
+    plain VerifierSpec holding the given rows, then the guard rows, then
+    completion rows on every column those leave free.  Only the step
+    operator and the export read it.
 
     Facts that no input changes are cached properties, computed on
     first read and kept: completed, per_symbol_defects, announcement
-    and branching.  The tables are never mutated after __init__, and
-    completion builds a new verifier beside them, so every kept fact
-    stays valid.
+    and branching.  The tables are built once in __init__ and never
+    mutated, and completion builds a new verifier beside them, so every
+    kept fact stays valid.
     """
 
     def __init__(self, name, input_alphabet, comm_alphabet, non_halting,
@@ -142,10 +148,13 @@ class VerifierSpec:
         self.initial = initial
         self.two_way = bool(two_way)
         self.guards = None if guards is None else dict(guards)
-        self.rows = {sym: dict(table) for sym, table in rows.items()}
+        self.rows = {
+            sym: dict(table) for sym, table in rows.items()
+        }
         self.head_dir = dict(head_dir)
-        self.row_class = {sym: dict(table)
-                          for sym, table in (row_class or {}).items()}
+        self.row_class = {
+            sym: dict(table) for sym, table in (row_class or {}).items()
+        }
         self.metadata = dict(metadata or {})
         self.live_moves = self._validated_moves()
 
@@ -296,7 +305,8 @@ class VerifierSpec:
         self.halting_set = self.accepting_set | self.rejecting_set
         if self.initial not in set(self.non_halting):
             raise ValidationError(
-                "initial state %r is not a live state" % (self.initial,))
+                "initial state %r is not a live state" % (self.initial,)
+            )
         if BLANK not in self.comm_alphabet:
             raise ValidationError("comm alphabet must contain the blank %r" % BLANK)
         if len(set(self.comm_alphabet)) != len(self.comm_alphabet):
@@ -310,7 +320,8 @@ class VerifierSpec:
         for sym in (LEFT_END, RIGHT_END):
             if sym in self.input_alphabet:
                 raise ValidationError(
-                    "input alphabet may not contain endmarker %r" % sym)
+                    "input alphabet may not contain endmarker %r" % sym
+                )
         comm_set = frozenset(self.comm_alphabet)
         head_dir, finite = self.head_dir, math.isfinite
         moves = {sym: MoveTable(sym, (), self.guards, comm_set,
@@ -323,8 +334,9 @@ class VerifierSpec:
             live = moves[sym]
             for (q, g), targets in table.items():
                 if q not in seen or g not in comm_set:
-                    raise ValidationError("transition source (%r, %r) "
-                                          "references unknown ids" % (q, g))
+                    raise ValidationError(
+                        "transition source (%r, %r) references unknown ids" % (q, g)
+                    )
                 row = []
                 for amp, q2, g2 in targets:
                     targeted.add(q2)
@@ -334,11 +346,13 @@ class VerifierSpec:
                                       % (sym, q, g))
                     if q2 not in seen or g2 not in comm_set:
                         raise ValidationError(
-                            "transition target (%r, %r) references unknown "
-                            "ids" % (q2, g2))
+                            "transition target (%r, %r) references unknown ids"
+                            % (q2, g2)
+                        )
                     if (q2, g2) not in head_dir:
-                        raise ValidationError("no head direction for target "
-                                              "(%r, %r)" % (q2, g2))
+                        raise ValidationError(
+                            "no head direction for target (%r, %r)" % (q2, g2)
+                        )
                     row.append((amp, q2, g2, head_dir[q2, g2]))
                 live[q, g] = tuple(row)
         self._validate_guards(targeted)
@@ -348,16 +362,18 @@ class VerifierSpec:
                 raise ValidationError(
                     "metadata suggested_max_steps must be an integer >= 1 or "
                     "{\"per_cell\": a, \"base\": b} with integers a, b >= 0, "
-                    "not both 0; got %r" % (hint,))
+                    "not both 0; got %r" % (hint,)
+                )
         for pair, d in self.head_dir.items():
             if self.two_way:
                 if d not in (-1, 0, 1):
                     raise ValidationError(
-                        "head direction %r out of range at %r" % (d, pair))
+                        "head direction %r out of range at %r" % (d, pair)
+                    )
             elif d != 1:
                 raise ValidationError(
-                    "one-way verifier must move right; got %r at %r"
-                    % (d, pair))
+                    "one-way verifier must move right; got %r at %r" % (d, pair)
+                )
         return moves
 
     def _validate_guards(self, targeted):
@@ -418,6 +434,24 @@ def public_symbol(verifier, state, comm_written=None):
 
 
 # -- table completion ----------------------------------------------------
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, a):
+        p = self.parent.setdefault(a, a)
+        while p != a:
+            self.parent[a] = p = self.parent.setdefault(p, p)
+            a = p
+            p = self.parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
 
 
 def target_dirs(row_targets, head_dir, two_way, resolved=None):
@@ -508,11 +542,13 @@ def complete_verifier(name, input_alphabet, comm_alphabet, non_halting,
         name=name, input_alphabet=input_alphabet, comm_alphabet=comm_alphabet,
         non_halting=non_halting, accepting=accepting, rejecting=rejecting,
         initial=initial, two_way=two_way, rows=rows, head_dir=resolved_dir,
-        metadata=meta, guards=guards)
+        metadata=meta, guards=guards,
+    )
     report = validate_wellformed(spec, tau=tau)
     if not report.ok:
         raise ValidationError(
-            "table completion failed unitarity: %s" % report.summary())
+            "table completion failed unitarity: %s" % report.summary()
+        )
     return spec
 
 
@@ -525,15 +561,20 @@ def _complete_symbol(table, classes, all_states, comm_alphabet,
     of the partially used target blocks (the columns _complement adds to
     each block's columns), then the unused targets as unit vectors.
     """
-    all_pairs = [(q, g) for q in all_states for g in comm_alphabet]
-    free_target_set = set(all_pairs).difference(
-        (q2, g2) for targets in table.values() for _, q2, g2 in targets)
+    all_pairs = [
+        (q, g) for q in all_states for g in comm_alphabet
+    ]
+    used_targets = set()
+    for targets in table.values():
+        for _, q2, g2 in targets:
+            used_targets.add((q2, g2))
+    free_sources = [p for p in all_pairs if p not in table]
+    free_targets = [p for p in all_pairs if p not in used_targets]
 
     # identity-preferring pass
     remaining_sources = []
-    for p in all_pairs:
-        if p in table:
-            continue
+    free_target_set = set(free_targets)
+    for p in free_sources:
         if p in free_target_set:
             table[p] = ((1.0, p[0], p[1]),)
             classes[p] = COMPLETION
@@ -544,35 +585,32 @@ def _complete_symbol(table, classes, all_states, comm_alphabet,
     if not remaining_sources:
         return
 
-    # group used targets into blocks connected through shared-support
-    # rows: a union-find forest, each row joining its targets' trees
-    parent = {}
-
-    def find(a):
-        while parent.setdefault(a, a) != a:
-            a = parent[a]
-        return a
-
+    # group used targets into blocks connected through shared-support rows
+    uf = _UnionFind()
     for targets in table.values():
         support = [(q2, g2) for _, q2, g2 in targets]
         for a, b in zip(support, support[1:]):
-            parent[find(b)] = find(a)
-    blocks = {}  # root -> (its block's targets, the rows reaching them)
+            uf.union(a, b)
+        for a in support:
+            uf.find(a)
+    blocks = {}
     for targets in table.values():
         support = [(q2, g2) for _, q2, g2 in targets]
-        block = blocks.setdefault(find(support[0]), (set(), []))
-        block[0].update(support)
-        block[1].append(targets)
+        root = uf.find(support[0])
+        blocks.setdefault(root, {"targets": set(), "columns": []})
+        blocks[root]["targets"].update(support)
+        blocks[root]["columns"].append(targets)
 
     complement_vectors = []  # list of lists of (amp, q2, g2)
-    for root in sorted(blocks, key=repr):
-        block_targets, block_rows = blocks[root]
-        tgt = sorted(block_targets, key=lambda p: (repr(p[0]), repr(p[1])))
-        if len(tgt) == len(block_rows):
+    for root in sorted(blocks, key=lambda p: repr(p)):
+        block = blocks[root]
+        tgt = sorted(block["targets"], key=lambda p: (repr(p[0]), repr(p[1])))
+        ncols = len(block["columns"])
+        if len(tgt) == ncols:
             continue
         t_index = {p: i for i, p in enumerate(tgt)}
         columns = []
-        for targets in sorted(block_rows, key=repr):
+        for targets in sorted(block["columns"], key=repr):
             column = [0j] * len(tgt)
             for amp, q2, g2 in targets:
                 column[t_index[q2, g2]] += amp
@@ -588,9 +626,10 @@ def _complete_symbol(table, classes, all_states, comm_alphabet,
     if len(remaining_sources) != len(complement_vectors):
         raise ValidationError(
             "completion bookkeeping mismatch: %d free sources vs %d free targets"
-            % (len(remaining_sources), len(complement_vectors)))
+            % (len(remaining_sources), len(complement_vectors))
+        )
     for p, vec in zip(sorted(remaining_sources, key=repr), complement_vectors):
-        table[p] = tuple(vec)
+        table[p] = tuple((amp, q2, g2) for amp, q2, g2 in vec)
         classes[p] = COMPLETION
         for _, q2, g2 in vec:
             resolved_dir.setdefault((q2, g2), 0 if two_way else 1)
@@ -708,13 +747,14 @@ def validate_wellformed(verifier, tau=1e-9, inputs=None):
     reported as well; they are derived, not built, and never exceed the
     worst per-symbol defect, so `qipsim check` lists none.  The tests
     hold each derived defect equal to isometry_defect of
-    build_step_operator's entries.  Head movement is a function of the
-    target pair, so the step operator is a permutation times a block
-    diagonal of the per-symbol tables of the tape's cells.  Its Gram
-    matrix is therefore block diagonal with the per-symbol Gram matrices
-    as blocks, and an input's defect is the largest per-symbol defect
-    over the symbols on its tape (inf when one is inf).  ok is every
-    defect <= tau.
+    build_step_operator's entries.  Head
+    movement is a function of the target pair, so the step operator is a
+    permutation times a block diagonal of the per-symbol tables of the
+    tape's cells.
+    Its Gram matrix is therefore block diagonal with the per-symbol Gram
+    matrices as blocks, and an input's defect is the largest per-symbol
+    defect over the symbols on its tape (inf when one is inf).  ok is
+    every defect <= tau.
     """
     per_symbol = dict(verifier.per_symbol_defects)
     per_input = {

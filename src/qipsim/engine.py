@@ -851,7 +851,8 @@ class FamilySweep:
 
 def sweep_family(verifier, x, provers, cfg=None):
     """Run each prover in the family; report the worst-case acceptance.
-    A prover equal to an earlier one (see MessageSchedule) reuses its row.
+    A hashable prover equal to an earlier one (see MessageSchedule)
+    reuses its row; an unhashable prover runs each time it appears.
 
     Raises EngineError for an empty family, which has no worst case.
     """
@@ -859,10 +860,14 @@ def sweep_family(verifier, x, provers, cfg=None):
     provers = list(provers)
     if not provers:
         raise EngineError("empty prover family: no run gives a worst case")
-    runs = {}
+    runs, rows = {}, []
     for prover in provers:
-        if prover not in runs:
-            runs[prover] = run_protocol(verifier, x, prover, cfg)
-    rows = [runs[prover] for prover in provers]
+        try:
+            result = runs[prover]
+        except KeyError:
+            result = runs[prover] = run_protocol(verifier, x, prover, cfg)
+        except TypeError:
+            result = run_protocol(verifier, x, prover, cfg)
+        rows.append(result)
     best_upper = max(0.0, *(result.acceptance_bounds[1] for result in rows))
     return FamilySweep(input=x, best_upper=best_upper, rows=rows)

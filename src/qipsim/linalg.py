@@ -126,46 +126,38 @@ def isometry_defect(entries, n_cols):
     Gram entry has one accumulator and sums conj(a) * b over the rows in
     increasing row order, so every caller gets the same bits for the
     same matrix.  A row with one entry adds to its column's diagonal
-    directly; the columns of wider rows share one block, dense when
-    those rows form at least as many terms as it has entries (as a
-    Fourier mixing block does), else a dict per column.  A diagonal
-    entry no row forms is 0, so its defect is 1.  A nan anywhere makes
-    the defect nan, as numpy's max would.
+    directly; a column of a wider row keeps its Gram row in a dict of
+    its own.  A diagonal entry no row forms is 0, so its defect is 1.
+    A nan anywhere makes the defect nan, as numpy's max would.
     """
     by_row = {}
     for row, col, value in entries:
         cells = by_row.setdefault(row, {})
         cells[col] = cells[col] + value if col in cells else value
-    # slot[j]: column j of a wider row: its Gram row, and j's key there
-    wide = [cells for cells in by_row.values() if len(cells) > 1]
-    block = dict.fromkeys(j for cells in wide for j in cells)
-    if sum(len(cells) ** 2 for cells in wide) >= len(block) ** 2:
-        gram = [[0j] * len(block) for _ in block]
-        slot = {j: (gram[p], p) for p, j in enumerate(block)}
-    else:
-        slot = {j: (defaultdict(complex), j) for j in block}
+    # gram[i]: the Gram row of a column i of a row with two or more
+    # entries; diag: the diagonal entry of every other column
+    gram = {i: defaultdict(complex) for cells in by_row.values()
+            if len(cells) > 1 for i in cells}
     diag = {}
     for row in sorted(by_row):
         cells = by_row[row].items()
         if len(cells) == 1:
             (i, a), = cells
-            if i not in slot:
+            if i not in gram:
                 z = a.conjugate() * a
                 diag[i] = diag[i] + z if i in diag else z
                 continue
-        cells = [(slot[j], b) for j, b in cells]
-        for (g, _), a in cells:
-            a = a.conjugate()
-            for (_, k), b in cells:
-                g[k] += a * b
+        for i, a in cells:
+            g, a = gram[i], a.conjugate()
+            for j, b in cells:
+                g[j] += a * b
     deviations = [abs(z - 1) for z in diag.values()]
-    for g, k in slot.values():
-        pairs = g.items() if isinstance(g, dict) else enumerate(g)
-        deviations += [abs(z - (q == k)) for q, z in pairs]
+    for i, g in gram.items():
+        deviations += [abs(z - (i == j)) for j, z in g.items()]
     defect = float(max(deviations, default=0.0))
     if any(map(math.isnan, deviations)):
         defect = math.nan
-    if len(diag) + len(slot) < n_cols:
+    if len(diag) + len(gram) < n_cols:
         defect = max(defect, 1.0)
     return defect
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .automata import (
     BLANK, LEFT_END, RIGHT_END, OneRfaSpec, TwoNpfaSpec, complete_verifier,
-    direction_symbol, first_option_chooser, padded_input, run_1rfa,
+    direction_symbol, first_option_chooser, run_1rfa,
     validate_1rfa_reversible, validate_2npfa_normalized,
 )
 from .errors import BudgetError, ValidationError
@@ -158,11 +158,17 @@ def rfa_embedding(machine, name=None):
     """
     validate_1rfa_reversible(machine)
     live = machine.non_halting
-    mismatch = {(p, q): "mis~%s~%s" % (p, q)
-                for p in live for q in machine.states if q != p}
-    rej = list(machine.rejecting) + list(mismatch.values())
+    mismatch = {}
+    rej = list(machine.rejecting)
+    for p in live:
+        for q in machine.states:
+            if q != p:
+                m = "mis~%s~%s" % (p, q)
+                mismatch[(p, q)] = m
+                rej.append(m)
     comm = (BLANK,) + tuple(machine.states) + tuple(
-        mismatch[k] for k in sorted(mismatch))
+        mismatch[k] for k in sorted(mismatch)
+    )
     core = {sym: {} for sym in machine.padded_alphabet}
     q2 = machine.delta[(machine.initial, LEFT_END)]
     core[LEFT_END][(machine.initial, BLANK)] = ((1.0, q2, q2),)
@@ -272,12 +278,17 @@ def npfa_embedding(machine, name=None, chooser=None):
                 echo = direction_symbol(hat, d)
                 core[sym][(hat, direction_symbol(q2, d))] = ((1.0, q2, echo),)
                 head_dir[(q2, echo)] = d
-    comm = list(dict.fromkeys(
-        [BLANK, QUERY_MARK]
-        + [g2 for table in core.values() for row in table.values()
-           for _, _, g2 in row]
-        + [direction_symbol(q2, d) for opts in machine.choice.values()
-           for q2, d in opts]))
+    comm = [BLANK, QUERY_MARK]
+    for targets in core.values():
+        for row in targets.values():
+            for _, _, g2 in row:
+                if g2 not in comm:
+                    comm.append(g2)
+    for opts in machine.choice.values():
+        for q2, d in opts:
+            s = direction_symbol(q2, d)
+            if s not in comm:
+                comm.append(s)
 
     verifier = complete_verifier(
         name=name or ("npfa~" + machine.name),
@@ -318,6 +329,7 @@ def _witness_rounds(machine, x, chooser):
     step must be kind-uniform (all coins or all choices) and choice steps
     must agree on the option, because one reply reaches every branch.
     """
+    from .automata import padded_input
     tape = padded_input(x, machine.input_alphabet)
     length = len(tape)
     live = {(machine.initial, 0)}
@@ -335,10 +347,16 @@ def _witness_rounds(machine, x, chooser):
             )
         if kinds.pop():
             v_step += 1
-            live = {(q2, (k + 1) % length) for q, k in live
-                    for q2 in machine.coin[(q, tape[k])]}
+            nxt = set()
+            for (q, k) in live:
+                a, b = machine.coin[(q, tape[k])]
+                nxt.add((a, (k + 1) % length))
+                nxt.add((b, (k + 1) % length))
+            live = nxt
         else:
-            opts = {chooser(t, q, k, tape[k]) for (q, k) in live}
+            opts = {
+                chooser(t, q, k, tape[k]) for (q, k) in live
+            }
             if len(opts) != 1:
                 raise ValidationError(
                     "chooser is not branch-uniform at step %d; supply an "
@@ -354,8 +372,9 @@ def _witness_rounds(machine, x, chooser):
 
 def coin_npfa():
     """Purely probabilistic machine: one fair coin, then halt."""
-    coin = {("flip", sym): ("yes", "no")
-            for sym in (LEFT_END, "0", "1", RIGHT_END)}
+    coin = {}
+    for sym in (LEFT_END, "0", "1", RIGHT_END):
+        coin[("flip", sym)] = ("yes", "no")
     return TwoNpfaSpec(
         name="coin", input_alphabet=("0", "1"), coin_states=("flip",),
         choice_states=(), accepting=("yes",), rejecting=("no",),
@@ -646,9 +665,12 @@ def equal_blocks_protocol(branches=2):
             for l in range(1, n_b + 1)
         )
 
-    comm = list(dict.fromkeys([BLANK] + [
-        g2 for table in core.values() for row in table.values()
-        for _, _, g2 in row]))
+    comm = [BLANK]
+    for table in core.values():
+        for row in table.values():
+            for _, _, g2 in row:
+                if g2 not in comm:
+                    comm.append(g2)
 
     verifier = complete_verifier(
         name="equal_blocks", input_alphabet=("0", "1"), comm_alphabet=comm,

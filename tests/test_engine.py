@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -478,6 +479,45 @@ def test_sweep_family_runs_each_distinct_prover_once(monkeypatch):
     uppers = [r.acceptance_bounds[1] for r in want]
     assert sweep.best_upper == max(uppers)
     assert sweep.witness is sweep.rows[uppers.index(max(uppers))]
+
+
+class _EqualByIdResponder(HistoryResponder):
+    # defines __eq__ without __hash__, so it cannot be hashed
+    def __eq__(self, other):
+        return isinstance(other, _EqualByIdResponder) and (
+            other.prover_id == self.prover_id)
+
+
+@dataclass
+class _DataResponder(HistoryResponder):
+    # a dataclass compares by value and sets __hash__ to None
+    reply: object
+    prover_id: str = "data"
+
+
+def test_sweep_family_runs_unhashable_provers_each_time(monkeypatch):
+    center = make_bundle("center", {"branches": 2})
+    x = "100"
+    mark = center.honest_prover(x)
+    echo = _EqualByIdResponder(lambda t, g: g, prover_id="echo")
+    data = _DataResponder(lambda t, g: "#")
+    family = [mark, echo, data, echo, data, mark]
+    for prover in (echo, data):
+        with pytest.raises(TypeError):
+            hash(prover)
+    want = [run_protocol(center.verifier, x, p) for p in family]
+    runs = []
+    monkeypatch.setattr(engine, "run_protocol", lambda *args: runs.append(
+        args[2]) or run_protocol(*args))
+    sweep = sweep_family(center.verifier, x, family)
+    # mark's repeat reuses its row; each unhashable prover runs each time
+    assert [id(p) for p in runs] == [id(p) for p in family[:5]]
+    assert len(sweep.rows) == len(family)
+    for got, ran in zip(sweep.rows, want):
+        ran.wallclock = got.wallclock
+        assert got == ran
+    assert sweep.rows[0] is sweep.rows[-1]
+    assert sweep.best_upper == max(r.acceptance_bounds[1] for r in want)
 
 
 def test_identity_provers_and_equal_schedules_compare_equal():

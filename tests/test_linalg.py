@@ -246,8 +246,9 @@ def test_isometry_defect_keeps_a_nan():
 
 def _dict_gram_defect(entries, n_cols):
     """A test-local copy of the dict Gram that isometry_defect's direct
-    path and dense block replaced: every Gram term goes to a dict keyed
-    by (i, j), starting from the first term, rows in increasing order."""
+    path and per-column dicts replaced: every Gram term goes to a dict
+    keyed by (i, j), starting from the first term, rows in increasing
+    order."""
     by_row = {}
     for row, col, value in entries:
         cells = by_row.setdefault(row, {})
@@ -283,7 +284,7 @@ def sparse_matrices(draw):
     """(entries, n_cols): random (row, column, value) triples, a pair
     sometimes repeated, plus sometimes a block of wide rows over shared
     columns (the Fourier mixing block's shape) or a chain of two-entry
-    rows (too sparse for a dense block)."""
+    rows."""
     n_cols = draw(st.integers(0, 7))
     cell = st.tuples(st.integers(0, 9), st.integers(0, max(n_cols, 1) - 1))
     entries = [(r, c, draw(_VALUES)) for r, c in draw(st.lists(cell))]
@@ -312,9 +313,9 @@ def test_isometry_defect_keeps_the_dict_grams_bits(matrix):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16])
 def test_isometry_defect_paths_keep_the_dict_grams_bits(n):
-    # a Fourier block beside one-entry rows (the dense block and the
-    # direct path), a chain of two-entry rows (one dict per column), and
-    # the Fourier block with a zero and a nan stored in it
+    # a Fourier block beside one-entry rows (the per-column dicts and the
+    # direct path), a chain of two-entry rows, and the Fourier block with
+    # a zero and a nan stored in it
     u = make_qft(n)
     fourier = [(r, c, z) for r, row in enumerate(u) for c, z in enumerate(row)]
     ones = [(n + k, n + k, 1.0 + 0j) for k in range(3)]
